@@ -9,9 +9,15 @@ equation for a monochromatic bath with mean occupation M reads
                 + (g/2) M     (2 a† rho a - a a† rho - rho a a†),
 
 integrated with fixed-step classical fourth-order Runge-Kutta so that
-trajectories are bit-reproducible.  The generator preserves trace exactly,
-so per-step renormalisation only absorbs roundoff; any larger correction
-signals a step-size problem and raises.
+trajectories are bit-reproducible.  The propagator works on the lowest K
+energy eigenstates V_K of H: the commutator becomes (E_i - E_j) rho_ij and
+the dissipator uses Ã = V_K† a V_K, with the products Ã†Ã and ÃÆ in the
+anticommutators so that trace stays exactly conserved.  This truncates the
+same equation (at K = dim it is the number-basis one, rotated); it is not a
+secular approximation.  K is the smallest level count whose predicted leak,
+the initial population above K plus a bound on what the jumps send there
+over the run, is at most LEAK_TOLERANCE.  Renormalisation only absorbs
+roundoff: an unstable step or a larger trace correction raises.
 """
 
 import math
@@ -24,17 +30,15 @@ from .errors import ParameterError, PositivityWarning, StepSizeError
 from .params import CODATA2018
 
 __all__ = [
-    "BathParams",
-    "Observables",
-    "Trajectory",
-    "StateTrajectory",
-    "bath_occupation",
-    "lindblad_generator",
-    "propagate",
-    "propagate_state",
-    "evolve_closed_spectral",
-    "state_observables",
+    "BathParams", "Observables", "Trajectory", "StateTrajectory",
+    "bath_occupation", "lindblad_generator", "propagate", "propagate_state",
+    "evolve_closed_spectral", "state_observables",
 ]
+
+# largest predicted population the eigenbasis truncation may drop
+LEAK_TOLERANCE = 1e-20
+# RK4 is stable on the imaginary axis up to |z| = 2*sqrt(2)
+RK4_STABILITY_BOUND = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,8 @@ def lindblad_generator(rho, hamiltonian, a, bath: BathParams,
                        constants=CODATA2018):
     """Right-hand side drho/dtau of the master equation (dense matrices).
 
-    Reference implementation by matrix products; the propagator uses an
-    equivalent form that exploits the ladder-operator structure.
+    Reference implementation by matrix products in the number basis; the
+    propagator evaluates the same equation in the truncated eigenbasis.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != hamiltonian.shape or rho.shape != a.shape:
@@ -115,15 +119,11 @@ def state_observables(state):
     """Trace, purity and quadrature moments of a density matrix or vector."""
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
-        dim = arr.size
-        norm2 = float(np.vdot(arr, arr).real)
-        rec = _moments_psi(arr, dim)
-        return Observables(trace=norm2, purity=1.0, **rec)
-    dim = arr.shape[0]
-    rec = _moments_rho(arr, dim)
-    tr = float(np.trace(arr).real)
-    purity = float(np.sum(np.abs(arr) ** 2))
-    return Observables(trace=tr, purity=purity, **rec)
+        return Observables(trace=float(np.vdot(arr, arr).real), purity=1.0,
+                           **_moments_psi(arr, arr.size))
+    return Observables(trace=float(np.trace(arr).real),
+                       purity=float(np.sum(np.abs(arr) ** 2)),
+                       **_moments_rho(arr, arr.shape[0]))
 
 
 def _ladder_moments(first, second, diag_n):
@@ -133,33 +133,23 @@ def _ladder_moments(first, second, diag_n):
     # x^2 = (a^2 + a†^2 + 2 a†a + 1)/2, p^2 likewise with a sign on a^2 terms
     x2 = (2.0 * second.real + 2.0 * diag_n + 1.0) / 2.0
     p2 = (-2.0 * second.real + 2.0 * diag_n + 1.0) / 2.0
-    return {
-        "mean_x": mean_x,
-        "mean_p": mean_p,
-        "var_x": x2 - mean_x**2,
-        "var_p": p2 - mean_p**2,
-        "occupation": diag_n,
-    }
+    return {"mean_x": mean_x, "mean_p": mean_p, "var_x": x2 - mean_x**2,
+            "var_p": p2 - mean_p**2, "occupation": diag_n}
 
 
 def _moments_psi(psi, dim):
-    s = np.sqrt(np.arange(1.0, dim))
-    a_psi = np.zeros_like(psi)
-    a_psi[:-1] = s * psi[1:]
+    a_psi = _lower(psi)
     first = complex(np.vdot(psi, a_psi))
-    aa_psi = np.zeros_like(psi)
-    aa_psi[:-1] = s * a_psi[1:]
-    second = complex(np.vdot(psi, aa_psi))
+    second = complex(np.vdot(psi, _lower(a_psi)))
     diag_n = float(np.sum(np.arange(dim) * np.abs(psi) ** 2))
     return _ladder_moments(first, second, diag_n)
 
 
 def _moments_rho(rho, dim):
     s = np.sqrt(np.arange(1.0, dim))
-    diag = np.diagonal(rho).real
     first = complex(np.sum(s * np.diagonal(rho, offset=-1)))
     second = complex(np.sum(s[:-1] * s[1:] * np.diagonal(rho, offset=-2)))
-    diag_n = float(np.sum(np.arange(dim) * diag))
+    diag_n = float(np.sum(np.arange(dim) * np.diagonal(rho).real))
     return _ladder_moments(first, second, diag_n)
 
 
@@ -178,6 +168,9 @@ class Trajectory:
     snapshot_times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     max_trace_correction: float = 0.0
+    energy_levels_kept: int = 0
+    leaked_population: float = 0.0
+    min_eigenvalue: float = 0.0
 
     COLUMNS = ("tau", "mean_x", "mean_p", "var_x", "var_p",
                "occupation", "trace", "purity")
@@ -208,159 +201,164 @@ class StateTrajectory:
     final_state: np.ndarray = None
 
 
+def _lower(v):
+    """a @ v for the number-basis annihilation operator; v is 1-D or 2-D."""
+    out = np.zeros_like(v)
+    out[:-1] = (np.sqrt(np.arange(1.0, len(v))) * v[1:].T).T
+    return out
+
+
+def _step_count(state, hamiltonian, dtau, tau_max, *strides):
+    """Reject non-finite inputs and bad step settings; return the step count."""
+    if not (0.0 < dtau < math.inf and 0.0 <= tau_max < math.inf):
+        raise ParameterError(
+            f"need finite dtau > 0 and tau_max >= 0, got {dtau!r}, {tau_max!r}")
+    if any(s is not None and not s >= 1 for s in strides):
+        raise ParameterError(
+            f"record and snapshot strides must be >= 1, got {strides}")
+    if not (np.isfinite(state).all() and np.isfinite(hamiltonian).all()):
+        raise ParameterError("initial state and Hamiltonian must be finite")
+    return int(round(tau_max / dtau))
+
+
+def _columns(rows):
+    """Records (dicts with the same keys) -> one array per key."""
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+
+
 def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
               record_stride=1, snapshot_stride=None, scales=None,
               constants=CODATA2018):
     """Propagate a density matrix under the thermal master equation.
 
-    Fixed-step RK4 with per-step Hermitisation and trace renormalisation.
-    Observables are recorded every `record_stride` steps (always including
-    tau = 0 and tau_max); deep copies of rho are stored every
-    `snapshot_stride` steps when given.  Raises StepSizeError when a single
-    step changes the trace by more than 1e-6; warns when a snapshot
-    develops eigenvalues below -1e-4.
+    Fixed-step RK4 on the kept energy levels with per-step Hermitisation and
+    trace renormalisation.  Observables are recorded every `record_stride`
+    steps (always including tau = 0 and tau_max); number-basis copies of rho
+    are stored every `snapshot_stride` steps when given.  Warns when a
+    snapshot or the final state has an eigenvalue below -1e-4.
     """
-    rho = np.array(rho0, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ParameterError("rho0 must be a square matrix")
-    dim = rho.shape[0]
-    if hamiltonian.shape != rho.shape:
-        raise ParameterError("Hamiltonian and rho dimensions differ")
+    rho0 = np.asarray(rho0, dtype=complex)
+    if (rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]
+            or hamiltonian.shape != rho0.shape):
+        raise ParameterError("rho0 and H must be square matrices of one size")
+    n_steps = _step_count(rho0, hamiltonian, dtau, tau_max, record_stride,
+                          snapshot_stride)
     if scales is not None:
         bath = bath.resolved(scales)
     g = bath.damping
     m_occ = bath_occupation(bath, constants) if g > 0.0 else 0.0
+    down, up = g * (m_occ + 1.0), g * m_occ     # rates of the a and a† jumps
 
-    h = np.asarray(hamiltonian, dtype=complex)
-    s = np.sqrt(np.arange(1.0, dim))
-    n_diag = np.arange(dim, dtype=float)
-    # anticommutator weights from the truncated products: a†a = diag(0..N-1)
-    # but (a a†) has a zero in its last slot, not N
-    aa_diag = np.arange(1.0, dim + 1.0)
-    aa_diag[-1] = 0.0
-    anti_down = n_diag[:, None] + n_diag[None, :]
-    anti_up = aa_diag[:, None] + aa_diag[None, :]
-    half_down = 0.5 * g * (m_occ + 1.0)
-    half_up = 0.5 * g * m_occ
-    outer_s = np.outer(s, s)
+    energies, vecs = np.linalg.eigh(hamiltonian)
+    a_full = vecs.conj().T @ _lower(vecs)
+    rho_full = vecs.conj().T @ rho0 @ vecs
+    # predicted population above each level: what starts there plus what the
+    # jumps send there over the whole run.  (|Ã| sqrt(p))_i^2 bounds the
+    # a-jump rate diag(Ã rho Æ)_i for every rho with populations p, so the
+    # bound holds however the coherences dephase.
+    start = np.diagonal(rho_full).real
+    amp, root = np.abs(a_full), np.sqrt(np.maximum(start, 0.0))
+    weight = start + tau_max * (down * (amp @ root) ** 2
+                                + up * (amp.T @ root) ** 2)
+    above = np.append(np.cumsum(weight[::-1])[::-1], 0.0)
+    k = 1 + int(np.argmax(above[1:] <= LEAK_TOLERANCE))
 
-    def rhs_full(r):
-        out = h @ r
-        out -= r @ h
-        out *= -1j
+    e, v, a = energies[:k], vecs[:, :k], a_full[:k, :k]
+    adag = a.conj().T
+    n_down = adag @ a
+    # the truncated products, not the projected a†a, keep the trace exact
+    gamma = down * n_down + up * (a @ adag)
+    # jumps carry population above the kept levels at the rate tr(edge @ rho)
+    edge = (down * (a_full[k:, :k].conj().T @ a_full[k:, :k])
+            + up * (a_full[:k, k:] @ a_full[:k, k:].conj().T))
+    radius = e[-1] - e[0] + (down + up) * np.linalg.eigvalsh(n_down)[-1]
+    if dtau * radius > RK4_STABILITY_BOUND:
+        raise StepSizeError(f"dtau * spectral bound = {dtau * radius:.3g} exceeds "
+                            f"RK4's stability limit 2*sqrt(2); reduce dtau")
+    freq = -1j * (e[:, None] - e[None, :])
+
+    def rhs(r):
+        out = freq * r
         if g > 0.0:
-            out[:-1, :-1] += (2.0 * half_down) * outer_s * r[1:, 1:]
-            out -= (half_down * anti_down) * r
-            if half_up > 0.0:
-                out[1:, 1:] += (2.0 * half_up) * outer_s * r[:-1, :-1]
-                out -= (half_up * anti_up) * r
+            anti = gamma @ r    # r is Hermitian, so r @ gamma = anti†
+            out += down * (a @ r @ adag) - 0.5 * (anti + anti.conj().T)
+            if up > 0.0:
+                out += up * (adag @ r @ a)
         return out
 
-    n_steps = int(round(tau_max / dtau))
-    records = []
-    rec_times = []
-    snapshot_times, snapshots = [], []
+    # <a>, <a^2>, <a†a> from projected number-basis operators: tr(op r) = sum(op.T r)
+    moment_ops = [op.T for op in (a, v.conj().T @ _lower(_lower(v)),
+                                  v.conj().T @ (np.arange(len(v))[:, None] * v))]
+    rho = rho_full[:k, :k].copy()
+    leaked = float(np.sum(start[k:]))
+    records, snapshot_times, snapshots = [], [], []
+    lowest = {}     # step -> lowest eigenvalue of rho, at snapshots and the end
     max_correction = 0.0
-    last_recorded = last_snapped = -1
 
-    def record(step, r):
-        nonlocal last_recorded
-        rec_times.append(step * dtau)
-        records.append(state_observables(r))
-        last_recorded = step
-
-    def snap(step, r):
-        nonlocal last_snapped
-        snapshot_times.append(step * dtau)
-        snapshots.append(r.copy())
-        last_snapped = step
-
-    record(0, rho)
-    if snapshot_stride is not None:
-        snap(0, rho)
-
-    for step in range(1, n_steps + 1):
-        k1 = rhs_full(rho)
-        k2 = rhs_full(rho + (0.5 * dtau) * k1)
-        k3 = rhs_full(rho + (0.5 * dtau) * k2)
-        k4 = rhs_full(rho + dtau * k3)
-        rho = rho + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        tr = float(np.trace(rho).real)
-        correction = abs(tr - 1.0)
-        if correction > 1e-6:
-            raise StepSizeError(
-                f"trace changed by {correction:.3g} in one step at "
-                f"tau={step * dtau:.4g}; reduce dtau")
-        max_correction = max(max_correction, correction)
-        rho /= tr
-        if (step % record_stride == 0 or step == n_steps) and step != last_recorded:
-            record(step, rho)
-        if snapshot_stride is not None and step != last_snapped and (
+    for step in range(n_steps + 1):
+        if step:
+            leaked += dtau * float(np.vdot(edge, rho).real)
+            k1 = rhs(rho)
+            k2 = rhs(rho + (0.5 * dtau) * k1)
+            k3 = rhs(rho + (0.5 * dtau) * k2)
+            k4 = rhs(rho + dtau * k3)
+            rho = rho + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = 0.5 * (rho + rho.conj().T)
+            tr = float(np.trace(rho).real)
+            correction = abs(tr - 1.0)
+            if not correction <= 1e-6:
+                raise StepSizeError(f"trace changed by {correction:.3g} in one "
+                                    f"step at tau={step * dtau:.4g}; reduce dtau")
+            max_correction = max(max_correction, correction)
+            rho /= tr
+        if step % record_stride == 0 or step == n_steps:
+            first, second, occ = (complex(np.sum(op * rho)) for op in moment_ops)
+            records.append(dict(
+                _ladder_moments(first, second, occ.real), times=step * dtau,
+                trace=float(np.trace(rho).real),
+                purity=float(np.sum(np.abs(rho) ** 2))))
+        if snapshot_stride is not None and (
                 step % snapshot_stride == 0 or step == n_steps):
-            snap(step, rho)
+            fock = v @ rho @ v.conj().T
+            snapshot_times.append(step * dtau)
+            snapshots.append(0.5 * (fock + fock.conj().T))
+            lowest[step] = float(np.linalg.eigvalsh(rho)[0])
 
-    for t_snap, snap_rho in zip(snapshot_times, snapshots):
-        low = float(np.linalg.eigvalsh(snap_rho)[0])
+    lowest[n_steps] = float(np.linalg.eigvalsh(rho)[0])
+    for step, low in lowest.items():
         if low < -1e-4:
-            warnings.warn(
-                f"density matrix at tau={t_snap:.4g} has eigenvalue {low:.3g}",
-                PositivityWarning, stacklevel=2)
-
-    def col(name):
-        return np.array([getattr(r, name) for r in records])
-
-    return Trajectory(
-        times=np.array(rec_times),
-        mean_x=col("mean_x"), mean_p=col("mean_p"),
-        var_x=col("var_x"), var_p=col("var_p"),
-        occupation=col("occupation"), trace=col("trace"),
-        purity=col("purity"),
-        snapshot_times=snapshot_times, snapshots=snapshots,
-        max_trace_correction=max_correction,
-    )
+            warnings.warn(f"density matrix at tau={step * dtau:.4g} has "
+                          f"eigenvalue {low:.3g}", PositivityWarning, stacklevel=2)
+    return Trajectory(**_columns(records), snapshot_times=snapshot_times,
+                      snapshots=snapshots, max_trace_correction=max_correction,
+                      energy_levels_kept=k, leaked_population=leaked,
+                      min_eigenvalue=min(lowest.values()))
 
 
 def propagate_state(psi0, hamiltonian, *, dtau=0.005, tau_max,
                     record_stride=1):
     """Closed-system fixed-step RK4 for a pure state (g = 0 limit).
 
-    Much cheaper than density-matrix propagation for long coherent runs;
-    records the same quadrature observables plus the norm.
+    In the energy eigenbasis one RK4 step multiplies each amplitude by
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 with z = -i E dtau, so raising R to
+    the step count gives the same integrator's state without a step loop.
+    Records the same quadrature observables as `propagate` plus the norm.
     """
-    psi = np.array(psi0, dtype=complex).ravel()
-    dim = psi.size
+    psi0 = np.asarray(psi0, dtype=complex).ravel()
+    dim = psi0.size
     if hamiltonian.shape != (dim, dim):
         raise ParameterError("Hamiltonian and state dimensions differ")
-    h = np.asarray(hamiltonian, dtype=complex)
-
-    n_steps = int(round(tau_max / dtau))
-    rec_times, rows = [], []
-
-    def record(step, v):
-        rec_times.append(step * dtau)
-        rows.append((_moments_psi(v, dim), float(np.vdot(v, v).real)))
-
-    record(0, psi)
-    for step in range(1, n_steps + 1):
-        k1 = -1j * (h @ psi)
-        k2 = -1j * (h @ (psi + (0.5 * dtau) * k1))
-        k3 = -1j * (h @ (psi + (0.5 * dtau) * k2))
-        k4 = -1j * (h @ (psi + dtau * k3))
-        psi = psi + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % record_stride == 0 or step == n_steps:
-            record(step, psi)
-
-    return StateTrajectory(
-        times=np.array(rec_times),
-        mean_x=np.array([m["mean_x"] for m, _ in rows]),
-        mean_p=np.array([m["mean_p"] for m, _ in rows]),
-        var_x=np.array([m["var_x"] for m, _ in rows]),
-        var_p=np.array([m["var_p"] for m, _ in rows]),
-        occupation=np.array([m["occupation"] for m, _ in rows]),
-        norm=np.array([n for _, n in rows]),
-        final_state=psi,
-    )
+    n_steps = _step_count(psi0, hamiltonian, dtau, tau_max, record_stride)
+    energies, vecs = np.linalg.eigh(hamiltonian)
+    z = -1j * dtau * energies
+    gain = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    coeff = vecs.conj().T @ psi0
+    rows = []
+    for step in sorted(set(range(0, n_steps + 1, record_stride)) | {n_steps}):
+        psi = vecs @ (coeff * gain ** step)
+        rows.append(dict(_moments_psi(psi, dim), times=step * dtau,
+                         norm=float(np.vdot(psi, psi).real)))
+    return StateTrajectory(**_columns(rows), final_state=psi)
 
 
 def evolve_closed_spectral(psi, spectral, tau):

@@ -308,7 +308,7 @@ def _metadata(spec, constants=CODATA2018, extra=None):
         "derived_scales": {f.name: getattr(scales, f.name)
                            for f in dataclasses.fields(scales)},
         "integrator": {
-            "method": "rk4-fixed-step",
+            "method": "rk4-fixed-step-truncated-energy-eigenbasis",
             "dtau": spec.run.dtau,
             "tau_max": spec.run.tau_max,
         },
@@ -507,6 +507,14 @@ def _run_friedman(spec, constants):
     return Dataset(spec.name, tables, _metadata(spec, constants, extra))
 
 
+def _propagation_health(traj):
+    """Deterministic numerical-health figures of one propagation."""
+    return {"max_trace_correction": traj.max_trace_correction,
+            "energy_levels_kept": traj.energy_levels_kept,
+            "leaked_population": traj.leaked_population,
+            "min_snapshot_eigenvalue": traj.min_eigenvalue}
+
+
 def _run_decohere_cat(spec, constants):
     scales = derive_scales(spec.squid, constants)
     h = build_fock_hamiltonian(spec.squid, scales, spec.run.dim, constants)
@@ -535,8 +543,7 @@ def _run_decohere_cat(spec, constants):
         fields_meta[wig_name] = _field_descriptor(wig, spec)
         fields_meta[wey_name] = _field_descriptor(wey, spec)
     extra = {"snapshot_taus": [float(t) for t in traj.snapshot_times],
-             "max_trace_correction": traj.max_trace_correction,
-             "fields": fields_meta}
+             "fields": fields_meta, **_propagation_health(traj)}
     return Dataset(spec.name, tables, _metadata(spec, constants, extra))
 
 
@@ -550,6 +557,7 @@ def _run_squeeze(spec, constants):
     rho0 = np.outer(psi0, psi0.conj())
     tables = {}
     minima = {}
+    health = {}
     for g in SQUEEZE_DAMPINGS:
         bath = BathParams(temperature=spec.bath.temperature, damping=g,
                           frequency=spec.bath.frequency)
@@ -560,7 +568,9 @@ def _run_squeeze(spec, constants):
         name = f"trajectory_g{g:g}.csv"
         tables[name] = (list(traj.COLUMNS), traj.as_table())
         minima[f"{g:g}"] = float(np.min(traj.var_x))
-    extra = {"min_var_x": minima}
+        for key, value in _propagation_health(traj).items():
+            health.setdefault(key, {})[f"{g:g}"] = value
+    extra = {"min_var_x": minima, **health}
     return Dataset(spec.name, tables, _metadata(spec, constants, extra))
 
 
@@ -618,8 +628,8 @@ def run_evolve(spec, constants=CODATA2018):
         idx = [f"n{k}" for k in range(rho.shape[0])]
         tables[f"rho_tau{tau:07.2f}_re.csv"] = (idx, rho.real)
         tables[f"rho_tau{tau:07.2f}_im.csv"] = (idx, rho.imag)
-    extra = {"max_trace_correction": traj.max_trace_correction}
-    return Dataset("evolve", tables, _metadata(spec, constants, extra))
+    return Dataset("evolve", tables,
+                   _metadata(spec, constants, _propagation_health(traj)))
 
 
 def _write_atomic(path, text):

@@ -309,3 +309,37 @@ def test_thread_override_sets_environment(monkeypatch):
     _apply_thread_override()
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+def test_cli_zero_record_stride_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "stride.cfg"
+    cfg.write_text("state.kind = coherent\nstate.alpha_im = 1.0\n"
+                   "bath.temperature_k = 1.0\nbath.damping = 0.05\n"
+                   "run.tau_max = 0.05\nrun.record_stride = 0\n")
+    code = cli_main(["evolve", "--dim", "40", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "record" in capsys.readouterr().err
+
+
+def test_propagation_health_in_metadata(tmp_path):
+    spec = sq.builtin_scenario("squeeze", {
+        "run.dim": "60", "run.tau_max": "0.1", "run.record_stride": "5"})
+    meta = sq.run_scenario(spec).metadata
+    assert meta["integrator"]["method"] == (
+        "rk4-fixed-step-truncated-energy-eigenbasis")
+    for key in ("max_trace_correction", "energy_levels_kept",
+                "leaked_population", "min_snapshot_eigenvalue"):
+        assert set(meta[key]) == {"0", "0.001", "0.01", "0.1"}
+    assert all(1 <= k <= 60 for k in meta["energy_levels_kept"].values())
+
+    cfg = tmp_path / "evolve.cfg"
+    cfg.write_text("state.kind = coherent\nstate.alpha_im = 1.0\n"
+                   "bath.temperature_k = 1.0\nbath.damping = 0.05\n"
+                   "run.tau_max = 0.05\nrun.snapshot_stride = 5\n")
+    assert cli_main(["evolve", "--dim", "40", "--config", str(cfg),
+                     "--out", str(tmp_path / "evolve")]) == 0
+    meta = json.loads((tmp_path / "evolve" / "metadata.json").read_text())
+    assert 1 <= meta["energy_levels_kept"] <= 40
+    assert abs(meta["leaked_population"]) < 1e-18
+    assert meta["min_snapshot_eigenvalue"] > -1e-4

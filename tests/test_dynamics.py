@@ -261,3 +261,155 @@ def test_trajectory_csv_columns(tmp_path):
         traj.write_csv(fh)
     header = out.read_text().splitlines()[0]
     assert header == "tau,mean_x,mean_p,var_x,var_p,occupation,trace,purity"
+
+
+def rk4_oracle(rho, h, bath, dtau, n_steps):
+    """Number-basis RK4 on the dense reference generator; every step's rho."""
+    a = sq.annihilation(len(h))
+    states = [np.asarray(rho, dtype=complex)]
+    for _ in range(n_steps):
+        r = states[-1]
+        k1 = sq.lindblad_generator(r, h, a, bath)
+        k2 = sq.lindblad_generator(r + 0.5 * dtau * k1, h, a, bath)
+        k3 = sq.lindblad_generator(r + 0.5 * dtau * k2, h, a, bath)
+        k4 = sq.lindblad_generator(r + dtau * k3, h, a, bath)
+        out = r + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out = 0.5 * (out + out.conj().T)
+        states.append(out / np.trace(out).real)
+    return states
+
+
+def test_full_rank_state_keeps_every_level_and_matches_oracle():
+    dim, dtau, n_steps = 40, 1e-3, 20
+    ring = sq.standard_ring(0.25)
+    scales = sq.derive_scales(ring)
+    h = sq.build_fock_hamiltonian(ring, scales, dim)
+    rho = random_density(dim, 33)
+    bath = BathParams(temperature=1.0, damping=0.05).resolved(scales)
+    expected = rk4_oracle(rho, h, bath, dtau, n_steps)
+    traj = sq.propagate(rho, h, bath, dtau=dtau, tau_max=n_steps * dtau,
+                        snapshot_stride=1)
+    assert traj.energy_levels_kept == dim
+    for got, want in zip(traj.snapshots, expected, strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _decohering_ground_state():
+    ring = sq.standard_ring(0.5)
+    scales = sq.derive_scales(ring)
+    h = sq.build_fock_hamiltonian(ring, scales, 120)
+    psi = sq.eigensolve(h, 1).eigenvectors[:, 0].astype(complex)
+    bath = BathParams(temperature=1.0, damping=0.01).resolved(scales)
+    return np.outer(psi, psi.conj()), h, bath
+
+
+def _damped_coherent_state():
+    ring = sq.standard_ring()
+    scales = sq.derive_scales(ring)
+    h = sq.build_fock_hamiltonian(ring, scales, 80)
+    psi = sq.coherent_state(1j, 80)
+    bath = BathParams(temperature=1.0, damping=0.1).resolved(scales)
+    return np.outer(psi, psi.conj()), h, bath
+
+
+@pytest.mark.parametrize("make", [_decohering_ground_state,
+                                  _damped_coherent_state])
+def test_truncated_eigenbasis_matches_oracle(make):
+    rho0, h, bath = make()
+    dtau, n_steps, stride = 0.005, 100, 10
+    expected = rk4_oracle(rho0, h, bath, dtau, n_steps)
+    traj = sq.propagate(rho0, h, bath, dtau=dtau, tau_max=n_steps * dtau,
+                        record_stride=stride, snapshot_stride=5 * stride)
+    assert traj.energy_levels_kept < len(h)
+    assert abs(traj.leaked_population) <= 1e-18
+    want = [sq.state_observables(r) for r in expected[::stride]]
+    for column in ("mean_x", "mean_p", "var_x", "var_p", "occupation",
+                   "trace", "purity"):
+        reference = np.array([getattr(obs, column) for obs in want])
+        assert np.max(np.abs(getattr(traj, column) - reference)) <= 1e-10
+    for got, ref in zip(traj.snapshots, expected[::5 * stride], strict=True):
+        assert np.max(np.abs(got - ref)) <= 1e-10
+
+
+def test_propagate_state_matches_looped_rk4():
+    ring = sq.standard_ring(0.49)
+    scales = sq.derive_scales(ring)
+    dim, dtau, n_steps, stride = 60, 0.005, 400, 7
+    h = sq.build_fock_hamiltonian(ring, scales, dim).astype(complex)
+    psi = sq.coherent_state(0.8 - 0.6j, dim)
+    rows = []
+    for step in range(n_steps + 1):
+        if step:
+            k1 = -1j * (h @ psi)
+            k2 = -1j * (h @ (psi + 0.5 * dtau * k1))
+            k3 = -1j * (h @ (psi + 0.5 * dtau * k2))
+            k4 = -1j * (h @ (psi + dtau * k3))
+            psi = psi + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if step % stride == 0 or step == n_steps:
+            rows.append((sq.state_observables(psi), psi))
+    traj = sq.propagate_state(sq.coherent_state(0.8 - 0.6j, dim), h,
+                              dtau=dtau, tau_max=n_steps * dtau,
+                              record_stride=stride)
+    assert len(traj.times) == len(rows)
+    assert np.max(np.abs(traj.final_state - psi)) <= 1e-12
+    for column in ("mean_x", "mean_p", "var_x", "var_p", "occupation"):
+        reference = np.array([getattr(obs, column) for obs, _ in rows])
+        assert np.max(np.abs(getattr(traj, column) - reference)) <= 1e-12
+    norms = np.array([obs.trace for obs, _ in rows])
+    assert np.max(np.abs(traj.norm - norms)) <= 1e-12
+
+
+def _small_damped_run():
+    ring = sq.standard_ring(0.5)
+    scales = sq.derive_scales(ring)
+    h = sq.build_fock_hamiltonian(ring, scales, 20)
+    psi = sq.coherent_state(0.5, 20)
+    bath = BathParams(temperature=1.0, damping=0.01).resolved(scales)
+    return psi, np.outer(psi, psi.conj()), h, bath
+
+
+def test_non_finite_inputs_are_rejected():
+    psi, rho, h, bath = _small_damped_run()
+    bad_rho = rho.copy()
+    bad_rho[1, 2] = np.nan
+    bad_h = h.copy()
+    bad_h[0, 0] = np.inf
+    with pytest.raises(ParameterError):
+        sq.propagate(bad_rho, h, bath, tau_max=0.05)
+    with pytest.raises(ParameterError):
+        sq.propagate(rho, bad_h, bath, tau_max=0.05)
+    bad_psi = psi.copy()
+    bad_psi[3] = np.nan
+    with pytest.raises(ParameterError):
+        sq.propagate_state(bad_psi, h, tau_max=0.05)
+    with pytest.raises(ParameterError):
+        sq.propagate_state(psi, bad_h, tau_max=0.05)
+
+
+@pytest.mark.parametrize("settings", [
+    {"dtau": -0.005}, {"dtau": 0.0}, {"dtau": math.nan}, {"tau_max": -1.0},
+    {"record_stride": 0}, {"record_stride": -3},
+])
+def test_bad_step_settings_are_rejected(settings):
+    psi, rho, h, bath = _small_damped_run()
+    run = {"dtau": 0.005, "tau_max": 0.05} | settings
+    with pytest.raises(ParameterError):
+        sq.propagate(rho, h, bath, **run)
+    with pytest.raises(ParameterError):
+        sq.propagate_state(psi, h, **run)
+
+
+def test_zero_snapshot_stride_is_rejected():
+    _, rho, h, bath = _small_damped_run()
+    with pytest.raises(ParameterError):
+        sq.propagate(rho, h, bath, tau_max=0.05, snapshot_stride=0)
+
+
+def test_run_health_figures():
+    _, rho, h, bath = _small_damped_run()
+    traj = sq.propagate(rho, h, bath, dtau=0.005, tau_max=0.05,
+                        record_stride=5, snapshot_stride=5)
+    assert 1 <= traj.energy_levels_kept <= 20
+    assert traj.leaked_population < 1e-18
+    # the lowest eigenvalue of a nearly pure state sits at roundoff level
+    assert abs(traj.min_eigenvalue) < 1e-6
