@@ -13,10 +13,9 @@ from .errors import (ConfigError, ConvergenceError, DegeneracyError,
 from .params import (CODATA2018, DerivedScales, PhysicalConstants,
                      SquidParams, charge_to_momentum, derive_scales,
                      flux_to_position, momentum_to_charge, position_to_flux)
-from .operators import (annihilation, cosine_operator, creation,
-                        displacement_operator, hermiticity_defect,
-                        ladder_operators, number_operator, parity_operator,
-                        quadrature_operators, sine_operator)
+from .operators import (annihilation, cosine_operator, displacement_operator,
+                        hermiticity_defect, ladder_operators, number_operator,
+                        parity_operator, quadrature_operators, sine_operator)
 from .hamiltonian import (FluxGridHamiltonian, FluxSweep, SpectralResult,
                           Well, build_flux_grid_hamiltonian,
                           build_fock_hamiltonian, converge_dimension,
@@ -33,7 +32,7 @@ from .dynamics import (BathParams, Observables, StateTrajectory, Trajectory,
                        bath_occupation, evolve_closed_spectral,
                        lindblad_generator, propagate, propagate_state,
                        state_observables)
-from .scenarios import (Dataset, GridSpec, RunSettings, SCENARIO_NAMES,
+from .scenarios import (Dataset, GridSpec, RunSettings, SCENARIOS,
                         ScenarioSpec, StateRecipe, SweepSpec,
                         builtin_scenario, emit_dataset, friedman_ring,
                         run_scenario, squeeze_ring, standard_ring)

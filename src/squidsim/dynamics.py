@@ -55,10 +55,12 @@ class BathParams:
     frequency: float | None = None
 
     def __post_init__(self):
-        if self.temperature < 0.0:
+        if not self.temperature >= 0.0:
             raise ParameterError(f"temperature must be >= 0, got {self.temperature}")
-        if self.damping < 0.0:
+        if not self.damping >= 0.0:
             raise ParameterError(f"damping must be >= 0, got {self.damping}")
+        if self.frequency is not None and not self.frequency > 0.0:
+            raise ParameterError(f"frequency must be > 0, got {self.frequency}")
 
     def resolved(self, scales):
         """Copy with frequency filled in from the ring scales when absent."""
@@ -180,11 +182,6 @@ class Trajectory:
             self.times, self.mean_x, self.mean_p, self.var_x, self.var_p,
             self.occupation, self.trace, self.purity,
         ])
-
-    def write_csv(self, fh):
-        fh.write(",".join(self.COLUMNS) + "\n")
-        for row in self.as_table():
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
 @dataclass

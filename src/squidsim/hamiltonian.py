@@ -15,7 +15,6 @@ the number-basis route.
 """
 
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -64,12 +63,6 @@ class FluxSweep:
 
     bias_values: np.ndarray
     levels: np.ndarray
-
-    def write_csv(self, fh):
-        ncols = self.levels.shape[1]
-        fh.write("phi_x," + ",".join(f"E{i}" for i in range(ncols)) + "\n")
-        for phi, row in zip(self.bias_values, self.levels):
-            fh.write(f"{phi:.12g}," + ",".join(f"{e:.12g}" for e in row) + "\n")
 
 
 def potential_energy(phi, params: SquidParams, constants=CODATA2018):
@@ -299,13 +292,9 @@ def eigensolve(hamiltonian, count=None):
 
 
 def spectrum_sweep(params: SquidParams, start, stop, step, levels=10,
-                   dim=DEFAULT_DIM, constants=CODATA2018, workers=1):
-    """Eigenvalues of the number-basis Hamiltonian over a bias-flux range.
-
-    Each bias point is independent; `workers` > 1 diagonalises them on a
-    thread pool (LAPACK releases the GIL).
-    """
-    if step <= 0.0:
+                   dim=DEFAULT_DIM, constants=CODATA2018):
+    """Eigenvalues of the number-basis Hamiltonian over a bias-flux range."""
+    if not step > 0.0:
         raise ParameterError(f"sweep step must be > 0, got {step}")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
     bias = start + step * np.arange(n)
@@ -315,12 +304,7 @@ def spectrum_sweep(params: SquidParams, start, stop, step, levels=10,
         h = build_fock_hamiltonian(params.with_bias(phi), scales, dim, constants)
         return np.linalg.eigvalsh(h)[:levels]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve, bias))
-    else:
-        rows = [solve(phi) for phi in bias]
-    return FluxSweep(bias, np.array(rows))
+    return FluxSweep(bias, np.array([solve(phi) for phi in bias]))
 
 
 def converge_dimension(params: SquidParams, levels=20, tol=1e-8,

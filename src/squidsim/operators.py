@@ -13,7 +13,6 @@ from .errors import ParameterError
 
 __all__ = [
     "annihilation",
-    "creation",
     "ladder_operators",
     "number_operator",
     "quadrature_operators",
@@ -35,11 +34,6 @@ def annihilation(dim):
     """Annihilation operator: a[n-1, n] = sqrt(n)."""
     dim = _check_dim(dim)
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-
-
-def creation(dim):
-    """Creation operator, the transpose of :func:`annihilation`."""
-    return annihilation(dim).T.copy()
 
 
 def ladder_operators(dim):

@@ -1,6 +1,15 @@
-"""Named scenarios, dataset assembly and atomic emission.
+"""Named scenarios, the config-key table, dataset assembly and emission.
 
-Each scenario produces a Dataset: named CSV tables plus a metadata
+A ScenarioSpec converts to and from a flat {"section.key": "value"} mapping
+through one key table, _KEYS.  Keys named after a field of the state, grid,
+sweep or run dataclass are derived from it; the others (units in the name,
+one component of a complex amplitude or of an index pair) have explicit
+rows.  A key overrides only its own field of the base spec.  Numbers must
+be finite, counts at least 1 and indices below the basis size; anything
+else raises ConfigError.
+
+SCENARIOS maps each built-in scenario name to its default spec and its
+runner.  A runner produces a Dataset: named CSV tables plus a metadata
 dictionary that echoes the full configuration, the derived scales and the
 integrator settings, so a run can be reproduced bit-identically from its
 own metadata.
@@ -8,6 +17,7 @@ own metadata.
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -27,12 +37,13 @@ from .states import (classify_well_states, coherent_state, parity_pair,
 
 __all__ = [
     "GridSpec", "StateRecipe", "RunSettings", "SweepSpec", "ScenarioSpec",
-    "Dataset", "SCENARIO_NAMES", "standard_ring", "squeeze_ring",
+    "Dataset", "SCENARIOS", "standard_ring", "squeeze_ring",
     "friedman_ring", "builtin_scenario", "run_scenario", "emit_dataset",
     "run_spectrum", "run_eigenstates", "run_wigner", "run_weyl", "run_evolve",
 ]
 
 FLOAT_FMT = "%.12g"
+STATE_KINDS = ("eigenstate", "coherent", "superposition")
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class StateRecipe:
-    kind: str = "eigenstate"      # eigenstate | coherent | superposition
+    kind: str = "eigenstate"      # one of STATE_KINDS
     index: int = 0
     alpha: complex = 0j
     theta: float = 0.0
@@ -87,148 +98,168 @@ class ScenarioSpec:
     sweep: SweepSpec = field(default_factory=SweepSpec)
     run: RunSettings = field(default_factory=RunSettings)
 
+    def __post_init__(self):
+        for key in _KEYS.values():
+            value = key.read(self)
+            if key.check is None or value is None:
+                continue
+            allowed = key.check(value, self)
+            if allowed is not None:
+                raise ConfigError(f"{key.name} = {value!r} must be {allowed}")
+
     def to_flat(self):
         """Flat string mapping understood by the config parser."""
-        out = {"scenario.name": self.name}
-        out["squid.capacitance_f"] = repr(self.squid.capacitance)
-        out["squid.inductance_h"] = repr(self.squid.inductance)
-        out["squid.josephson_energy_j"] = repr(self.squid.josephson_energy)
-        out["squid.bias_flux_phi0"] = repr(self.squid.bias_flux)
-        if self.bath is not None:
-            out["bath.temperature_k"] = repr(self.bath.temperature)
-            out["bath.damping"] = repr(self.bath.damping)
-            if self.bath.frequency is not None:
-                out["bath.frequency_rad_s"] = repr(self.bath.frequency)
-        out["state.kind"] = self.state.kind
-        out["state.index"] = repr(self.state.index)
-        out["state.alpha_re"] = repr(self.state.alpha.real)
-        out["state.alpha_im"] = repr(self.state.alpha.imag)
-        out["state.theta_rad"] = repr(self.state.theta)
-        out["state.pair_a"] = repr(self.state.pair[0])
-        out["state.pair_b"] = repr(self.state.pair[1])
-        for name in ("x_min", "x_max", "x_points", "p_min", "p_max", "p_points"):
-            out[f"grid.{name}"] = repr(getattr(self.grid, name))
-        for name in ("start", "stop", "step", "levels"):
-            out[f"sweep.{name}"] = repr(getattr(self.sweep, name))
-        out["run.dim"] = repr(self.run.dim)
-        out["run.dtau"] = repr(self.run.dtau)
-        out["run.tau_max"] = repr(self.run.tau_max)
-        out["run.record_stride"] = repr(self.run.record_stride)
-        if self.run.snapshot_stride is not None:
-            out["run.snapshot_stride"] = repr(self.run.snapshot_stride)
+        out = {}
+        for key in _KEYS.values():
+            value = key.read(self)
+            if key.emit and value is not None:
+                out[key.name] = value if key.parse is str else repr(value)
         return out
 
     @classmethod
     def from_flat(cls, mapping, defaults=None):
-        """Build a spec from a flat mapping; unknown keys are an error."""
-        return _spec_from_flat(cls, mapping, defaults)
+        """Build a spec from a flat mapping; unknown keys are an error.
 
+        Each key replaces one field of `defaults` (the standard ring when
+        None); a bath key on a spec without a bath starts from T = 1 K and
+        zero damping.
+        """
+        unknown = set(mapping) - set(_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        energy_keys = [k.name for k in _KEYS.values()
+                       if k.field == "josephson_energy"]
+        if set(energy_keys) <= set(mapping):
+            raise ConfigError(f"give {' or '.join(energy_keys)}, not both")
+        base = defaults if defaults is not None else cls("custom", standard_ring())
 
-_KNOWN_KEYS = {
-    "scenario.name",
-    "squid.capacitance_f", "squid.inductance_h", "squid.josephson_energy_j",
-    "squid.critical_current_a", "squid.bias_flux_phi0",
-    "bath.temperature_k", "bath.damping", "bath.frequency_rad_s",
-    "state.kind", "state.index", "state.alpha_re", "state.alpha_im",
-    "state.theta_rad", "state.pair_a", "state.pair_b",
-    "grid.x_min", "grid.x_max", "grid.x_points",
-    "grid.p_min", "grid.p_max", "grid.p_points",
-    "sweep.start", "sweep.stop", "sweep.step", "sweep.levels",
-    "run.dim", "run.dtau", "run.tau_max", "run.record_stride",
-    "run.snapshot_stride",
-}
-
-
-def _get(mapping, key, conv, default):
-    if key not in mapping:
-        return default
-    try:
-        return conv(mapping[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {mapping[key]!r}") from exc
-
-
-def _spec_from_flat(cls, mapping, defaults):
-    unknown = set(mapping) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    base = defaults if defaults is not None else ScenarioSpec(
-        name="custom", squid=standard_ring())
-
-    squid = base.squid
-    if {"squid.capacitance_f", "squid.inductance_h"} & set(mapping):
-        cap = _get(mapping, "squid.capacitance_f", float, squid.capacitance)
-        ind = _get(mapping, "squid.inductance_h", float, squid.inductance)
-        bias = _get(mapping, "squid.bias_flux_phi0", float, squid.bias_flux)
-        if "squid.critical_current_a" in mapping:
-            if "squid.josephson_energy_j" in mapping:
-                raise ConfigError(
-                    "give squid.josephson_energy_j or squid.critical_current_a, not both")
+        edits = {}    # section -> {field: value}; section None is the spec
+        for name, text in mapping.items():
+            key = _KEYS[name]
             try:
-                squid = SquidParams.from_critical_current(
-                    cap, ind, float(mapping["squid.critical_current_a"]), bias)
+                value = key.parse(text)
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        else:
-            energy = _get(mapping, "squid.josephson_energy_j", float,
-                          squid.josephson_energy)
-            try:
-                squid = SquidParams(cap, ind, energy, bias)
-            except ParameterError as exc:
-                raise ConfigError(str(exc)) from exc
-    elif "squid.bias_flux_phi0" in mapping:
-        squid = squid.with_bias(
-            _get(mapping, "squid.bias_flux_phi0", float, squid.bias_flux))
+                raise ConfigError(f"bad value for {name}: {text!r}") from exc
+            fields = edits.setdefault(key.section, {})
+            if key.part is not None:
+                old = fields.get(key.field,
+                                 getattr(getattr(base, key.section), key.field))
+                parts = _split(old)
+                parts[key.part] = value
+                value = (tuple(parts) if isinstance(old, (tuple, list))
+                         else complex(*parts))
+            fields[key.field] = value
+        try:
+            sections = {section: dataclasses.replace(
+                            getattr(base, section) or _NEW_BATH, **fields)
+                        for section, fields in edits.items() if section}
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
+        return dataclasses.replace(base, **sections, **edits.get(None, {}))
 
-    bath = base.bath
-    if "bath.temperature_k" in mapping or "bath.damping" in mapping:
-        bath = BathParams(
-            temperature=_get(mapping, "bath.temperature_k", float,
-                             bath.temperature if bath else 1.0),
-            damping=_get(mapping, "bath.damping", float,
-                         bath.damping if bath else 0.0),
-            frequency=_get(mapping, "bath.frequency_rad_s", float,
-                           bath.frequency if bath else None),
-        )
 
-    state = StateRecipe(
-        kind=mapping.get("state.kind", base.state.kind),
-        index=_get(mapping, "state.index", int, base.state.index),
-        alpha=complex(_get(mapping, "state.alpha_re", float, base.state.alpha.real),
-                      _get(mapping, "state.alpha_im", float, base.state.alpha.imag)),
-        theta=_get(mapping, "state.theta_rad", float, base.state.theta),
-        pair=(_get(mapping, "state.pair_a", int, base.state.pair[0]),
-              _get(mapping, "state.pair_b", int, base.state.pair[1])),
-    )
-    if state.kind not in ("eigenstate", "coherent", "superposition"):
-        raise ConfigError(f"unknown state.kind {state.kind!r}")
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
-    grid = GridSpec(
-        x_min=_get(mapping, "grid.x_min", float, base.grid.x_min),
-        x_max=_get(mapping, "grid.x_max", float, base.grid.x_max),
-        x_points=_get(mapping, "grid.x_points", int, base.grid.x_points),
-        p_min=_get(mapping, "grid.p_min", float, base.grid.p_min),
-        p_max=_get(mapping, "grid.p_max", float, base.grid.p_max),
-        p_points=_get(mapping, "grid.p_points", int, base.grid.p_points),
-    )
-    sweep = SweepSpec(
-        start=_get(mapping, "sweep.start", float, base.sweep.start),
-        stop=_get(mapping, "sweep.stop", float, base.sweep.stop),
-        step=_get(mapping, "sweep.step", float, base.sweep.step),
-        levels=_get(mapping, "sweep.levels", int, base.sweep.levels),
-    )
-    run = RunSettings(
-        dim=_get(mapping, "run.dim", int, base.run.dim),
-        dtau=_get(mapping, "run.dtau", float, base.run.dtau),
-        tau_max=_get(mapping, "run.tau_max", float, base.run.tau_max),
-        record_stride=_get(mapping, "run.record_stride", int,
-                           base.run.record_stride),
-        snapshot_stride=_get(mapping, "run.snapshot_stride", int,
-                             base.run.snapshot_stride),
-    )
-    name = mapping.get("scenario.name", base.name)
-    return cls(name=name, squid=squid, bath=bath, state=state,
-               grid=grid, sweep=sweep, run=run)
+
+def _energy_from_current(text):
+    """Josephson energy (joule) of a junction with critical current `text`."""
+    return SquidParams.from_critical_current(
+        1.0, 1.0, _finite_float(text)).josephson_energy
+
+
+def _split(value):
+    """Components of a complex amplitude or an index pair, as a list."""
+    if isinstance(value, (tuple, list)):
+        return list(value)
+    value = complex(value)
+    return [value.real, value.imag]
+
+
+def _between(low, high=lambda spec: math.inf):
+    """Check that a value lies in [low(spec), high(spec)]; returns None when
+    it does and the allowed range otherwise."""
+    def check(value, spec):
+        lo, hi = low(spec), high(spec)
+        return None if lo <= value <= hi else f"in [{lo!r}, {hi!r}]"
+    return check
+
+
+_count = _between(lambda spec: 1)
+_level_count = _between(lambda spec: 1, lambda spec: spec.run.dim)
+_basis_index = _between(lambda spec: 0, lambda spec: spec.run.dim - 1)
+
+
+def _state_kind(value, spec):
+    return None if value in STATE_KINDS else f"one of {', '.join(STATE_KINDS)}"
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One flat config key and the ScenarioSpec field it sets."""
+
+    name: str                 # "section.key"
+    section: str | None       # ScenarioSpec attribute; None: the spec itself
+    field: str                # attribute of the section
+    parse: object = _finite_float   # text -> value; raises ValueError
+    part: int | None = None   # component of a complex or pair field
+    check: object = None      # (value, spec) -> None, or the allowed range
+    emit: bool = True         # written by to_flat
+
+    def read(self, spec):
+        """This key's value in `spec`; None where the spec leaves it unset."""
+        owner = spec if self.section is None else getattr(spec, self.section)
+        value = None if owner is None else getattr(owner, self.field)
+        if self.part is None or value is None:
+            return value
+        return _split(value)[self.part]
+
+
+_EXPLICIT_KEYS = (
+    _Key("scenario.name", None, "name", str),
+    _Key("squid.capacitance_f", "squid", "capacitance"),
+    _Key("squid.inductance_h", "squid", "inductance"),
+    _Key("squid.josephson_energy_j", "squid", "josephson_energy"),
+    _Key("squid.critical_current_a", "squid", "josephson_energy",
+         _energy_from_current, emit=False),
+    _Key("squid.bias_flux_phi0", "squid", "bias_flux"),
+    _Key("bath.temperature_k", "bath", "temperature"),
+    _Key("bath.damping", "bath", "damping"),
+    _Key("bath.frequency_rad_s", "bath", "frequency"),
+    _Key("state.alpha_re", "state", "alpha", part=0),
+    _Key("state.alpha_im", "state", "alpha", part=1),
+    _Key("state.theta_rad", "state", "theta"),
+    _Key("state.pair_a", "state", "pair", int, part=0, check=_basis_index),
+    _Key("state.pair_b", "state", "pair", int, part=1, check=_basis_index),
+)
+_PARSERS = {float: _finite_float, int: int, int | None: int, str: str}
+# fields whose range is not just "a count >= 1" or "anything finite"
+_FIELD_CHECKS = {("state", "kind"): _state_kind, ("state", "index"): _basis_index,
+                 ("sweep", "stop"): _between(lambda spec: spec.sweep.start),
+                 ("sweep", "levels"): _level_count}
+
+
+def _derived_keys():
+    """Keys named after the remaining fields of the state, grid, sweep and
+    run sections."""
+    taken = {(k.section, k.field) for k in _EXPLICIT_KEYS}
+    for section, cls in (("state", StateRecipe), ("grid", GridSpec),
+                         ("sweep", SweepSpec), ("run", RunSettings)):
+        for f in dataclasses.fields(cls):
+            if (section, f.name) in taken:
+                continue
+            parse = _PARSERS[f.type]
+            check = _FIELD_CHECKS.get((section, f.name),
+                                      _count if parse is int else None)
+            yield _Key(f"{section}.{f.name}", section, f.name, parse,
+                       check=check)
+
+
+_KEYS = {k.name: k for k in (*_EXPLICIT_KEYS, *_derived_keys())}
+_NEW_BATH = BathParams(temperature=1.0, damping=0.0)
 
 
 def standard_ring(bias_flux=0.0):
@@ -247,43 +278,17 @@ def friedman_ring():
         1.03e-13, 2.38e-10, 2.02e-6, bias_flux=0.514466)
 
 
-SCENARIO_NAMES = (
-    "potential-wells", "level-sweep", "cat-049", "cat-phase",
-    "friedman", "decohere-cat", "squeeze",
-)
+def _registered(name):
+    """(default spec, runner) of a built-in scenario."""
+    if name not in SCENARIOS:
+        raise ConfigError(
+            f"unknown scenario {name!r}; expected one of {', '.join(SCENARIOS)}")
+    return SCENARIOS[name]
 
 
 def builtin_scenario(name, overrides=None):
     """ScenarioSpec for a named scenario, with optional flat-key overrides."""
-    if name == "potential-wells":
-        spec = ScenarioSpec(name, standard_ring(), sweep=SweepSpec(levels=8))
-    elif name == "level-sweep":
-        spec = ScenarioSpec(name, standard_ring())
-    elif name == "cat-049":
-        spec = ScenarioSpec(name, standard_ring(0.49),
-                            state=StateRecipe(kind="superposition"))
-    elif name == "cat-phase":
-        spec = ScenarioSpec(name, standard_ring(0.5),
-                            state=StateRecipe(kind="superposition"))
-    elif name == "friedman":
-        spec = ScenarioSpec(name, friedman_ring(),
-                            state=StateRecipe(kind="superposition"))
-    elif name == "decohere-cat":
-        spec = ScenarioSpec(
-            name, standard_ring(0.5),
-            bath=BathParams(temperature=1.0, damping=0.01),
-            state=StateRecipe(kind="eigenstate", index=0),
-            run=RunSettings(tau_max=30.0, record_stride=20,
-                            snapshot_stride=600))
-    elif name == "squeeze":
-        spec = ScenarioSpec(
-            name, squeeze_ring(),
-            bath=BathParams(temperature=1.0, damping=0.0),
-            state=StateRecipe(kind="coherent", alpha=1j),
-            run=RunSettings(dim=160, tau_max=50.0, record_stride=5))
-    else:
-        raise ConfigError(
-            f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}")
+    spec = _registered(name)[0]
     if overrides:
         spec = ScenarioSpec.from_flat(overrides, defaults=spec)
         spec = dataclasses.replace(spec, name=name)
@@ -337,103 +342,6 @@ def _field_table(field_obj: PhaseSpaceField):
     return cols, data
 
 
-def _superposition_states(spec, constants=CODATA2018):
-    """(s, a) members used by the superposition scenarios."""
-    scales = derive_scales(spec.squid, constants)
-    h = build_fock_hamiltonian(spec.squid, scales, spec.run.dim, constants)
-    spectral = eigensolve(h)
-    i, j = spec.state.pair
-    try:
-        s, a = parity_pair(spectral, spec.squid, scales, indices=(i, j),
-                           constants=constants)
-    except (DegeneracyError, ParameterError):
-        # asymmetric wells: keep the eigensolver's deterministic phases
-        s = spectral.eigenvectors[:, i].astype(complex)
-        a = spectral.eigenvectors[:, j].astype(complex)
-    return spectral, s, a
-
-
-def _resolve_state(spec, constants=CODATA2018):
-    """State vector requested by spec.state plus the spectral data used."""
-    scales = derive_scales(spec.squid, constants)
-    h = build_fock_hamiltonian(spec.squid, scales, spec.run.dim, constants)
-    if spec.state.kind == "coherent":
-        return h, coherent_state(spec.state.alpha, spec.run.dim)
-    if spec.state.kind == "eigenstate":
-        spectral = eigensolve(h, count=spec.state.index + 1)
-        return h, spectral.eigenvectors[:, spec.state.index].astype(complex)
-    if spec.state.kind == "superposition":
-        _, s, a = _superposition_states(spec, constants)
-        return h, phase_superposition(s, a, spec.state.theta)
-    raise ConfigError(f"unknown state kind {spec.state.kind!r}")
-
-
-def run_scenario(spec: ScenarioSpec, constants=CODATA2018) -> Dataset:
-    """Execute a built-in scenario and return its Dataset."""
-    runners = {
-        "potential-wells": _run_potential_wells,
-        "level-sweep": _run_level_sweep,
-        "cat-049": _run_cat_049,
-        "cat-phase": _run_cat_phase,
-        "friedman": _run_friedman,
-        "decohere-cat": _run_decohere_cat,
-        "squeeze": _run_squeeze,
-    }
-    if spec.name not in runners:
-        raise ConfigError(
-            f"unknown scenario {spec.name!r}; expected one of "
-            f"{', '.join(SCENARIO_NAMES)}")
-    return runners[spec.name](spec, constants)
-
-
-def _run_potential_wells(spec, constants):
-    tables = {}
-    levels = spec.sweep.levels
-    x = spec.grid.x_axis()
-    for bias in (0.0, 0.49, 0.5):
-        ring = spec.squid.with_bias(bias)
-        scales = derive_scales(ring, constants)
-        h = build_fock_hamiltonian(ring, scales, spec.run.dim, constants)
-        spectral = eigensolve(h, count=levels)
-        u = potential_energy_scaled(x, ring, scales, constants)
-        cols = ["x", "potential"]
-        data = [x, u]
-        for k in range(levels):
-            psi = position_wavefunction(spectral.eigenvectors[:, k], x)
-            cols.append(f"level{k}")
-            data.append(np.abs(psi) ** 2 + spectral.eigenvalues[k])
-        tables[f"potential_wells_phix{bias:.2f}.csv"] = (cols, np.column_stack(data))
-    return Dataset(spec.name, tables, _metadata(spec, constants))
-
-
-def _run_level_sweep(spec, constants):
-    sweep = spectrum_sweep(spec.squid, spec.sweep.start, spec.sweep.stop,
-                           spec.sweep.step, levels=spec.sweep.levels,
-                           dim=spec.run.dim, constants=constants)
-    cols = ["phi_x"] + [f"E{i}" for i in range(sweep.levels.shape[1])]
-    tables = {"level_sweep.csv": (cols, np.column_stack([sweep.bias_values,
-                                                         sweep.levels]))}
-    return Dataset(spec.name, tables, _metadata(spec, constants))
-
-
-def _run_cat_049(spec, constants):
-    scales = derive_scales(spec.squid, constants)
-    h = build_fock_hamiltonian(spec.squid, scales, spec.run.dim, constants)
-    spectral = eigensolve(h, count=2)
-    cat = phase_superposition(spectral.eigenvectors[:, 0],
-                              spectral.eigenvectors[:, 1], spec.state.theta)
-    fld = wigner_function(cat, spec.grid.x_axis(), spec.grid.p_axis())
-    diag = phase_space_diagnostics(fld, cat)
-    cols, data = _field_table(fld)
-    extra = {
-        "wigner_normalization": diag.normalization,
-        "wigner_negativity_volume": diag.negativity_volume,
-        "fields": {"wigner_cat_phix0.49.csv": _field_descriptor(fld, spec)},
-    }
-    return Dataset(spec.name, {"wigner_cat_phix0.49.csv": (cols, data)},
-                   _metadata(spec, constants, extra))
-
-
 def _field_descriptor(field_obj, spec):
     return {
         "kind": field_obj.kind,
@@ -446,23 +354,117 @@ def _field_descriptor(field_obj, spec):
     }
 
 
-def _run_cat_phase(spec, constants):
-    _, s, a = _superposition_states(spec, constants)
+def _add_field(tables, fields_meta, name, field_obj, spec):
+    """File a phase-space field's table and its descriptor under `name`."""
+    tables[name] = _field_table(field_obj)
+    fields_meta[name] = _field_descriptor(field_obj, spec)
+
+
+def _level_panel(x, ring, scales, spectral, levels, constants):
+    """Columns x, potential and level k = |psi_k(x)|^2 + E_k, k < levels."""
+    cols = ["x", "potential"]
+    data = [x, potential_energy_scaled(x, ring, scales, constants)]
+    for k in range(levels):
+        psi = position_wavefunction(spectral.eigenvectors[:, k], x)
+        cols.append(f"level{k}")
+        data.append(np.abs(psi) ** 2 + spectral.eigenvalues[k])
+    return cols, np.column_stack(data)
+
+
+def _ring_hamiltonian(spec, constants):
+    """Derived scales and number-basis Hamiltonian of the spec's ring."""
+    scales = derive_scales(spec.squid, constants)
+    return scales, build_fock_hamiltonian(spec.squid, scales, spec.run.dim,
+                                          constants)
+
+
+def _superposition_states(spec, scales, h, constants):
+    """(s, a) members used by the superposition scenarios."""
+    spectral = eigensolve(h)
+    i, j = spec.state.pair
+    try:
+        return parity_pair(spectral, spec.squid, scales, indices=(i, j),
+                           constants=constants)
+    except (DegeneracyError, ParameterError):
+        # asymmetric wells: keep the eigensolver's deterministic phases
+        return (spectral.eigenvectors[:, i].astype(complex),
+                spectral.eigenvectors[:, j].astype(complex))
+
+
+def _resolve_state(spec, constants=CODATA2018):
+    """Scales, Hamiltonian and the state vector requested by spec.state."""
+    scales, h = _ring_hamiltonian(spec, constants)
+    if spec.state.kind == "coherent":
+        psi = coherent_state(spec.state.alpha, spec.run.dim)
+    elif spec.state.kind == "eigenstate":
+        spectral = eigensolve(h, count=spec.state.index + 1)
+        psi = spectral.eigenvectors[:, spec.state.index].astype(complex)
+    else:
+        s, a = _superposition_states(spec, scales, h, constants)
+        psi = phase_superposition(s, a, spec.state.theta)
+    return scales, h, psi
+
+
+def run_scenario(spec: ScenarioSpec, constants=CODATA2018) -> Dataset:
+    """Execute a built-in scenario and return its Dataset."""
+    return _registered(spec.name)[1](spec, constants)
+
+
+def _run_potential_wells(spec, constants):
     tables = {}
-    fields_meta = {}
+    x = spec.grid.x_axis()
+    for bias in (0.0, 0.49, 0.5):
+        ring = spec.squid.with_bias(bias)
+        scales = derive_scales(ring, constants)
+        h = build_fock_hamiltonian(ring, scales, spec.run.dim, constants)
+        spectral = eigensolve(h, count=spec.sweep.levels)
+        tables[f"potential_wells_phix{bias:.2f}.csv"] = _level_panel(
+            x, ring, scales, spectral, spec.sweep.levels, constants)
+    return Dataset(spec.name, tables, _metadata(spec, constants))
+
+
+def _run_level_sweep(spec, constants=CODATA2018):
+    sweep = spectrum_sweep(spec.squid, spec.sweep.start, spec.sweep.stop,
+                           spec.sweep.step, levels=spec.sweep.levels,
+                           dim=spec.run.dim, constants=constants)
+    cols = ["phi_x"] + [f"E{i}" for i in range(sweep.levels.shape[1])]
+    tables = {"level_sweep.csv": (cols, np.column_stack([sweep.bias_values,
+                                                         sweep.levels]))}
+    return Dataset(spec.name, tables, _metadata(spec, constants))
+
+
+def _run_cat_049(spec, constants):
+    _, h = _ring_hamiltonian(spec, constants)
+    spectral = eigensolve(h, count=2)
+    cat = phase_superposition(spectral.eigenvectors[:, 0],
+                              spectral.eigenvectors[:, 1], spec.state.theta)
+    fld = wigner_function(cat, spec.grid.x_axis(), spec.grid.p_axis())
+    diag = phase_space_diagnostics(fld, cat)
+    tables, fields_meta = {}, {}
+    _add_field(tables, fields_meta, "wigner_cat_phix0.49.csv", fld, spec)
+    extra = {
+        "wigner_normalization": diag.normalization,
+        "wigner_negativity_volume": diag.negativity_volume,
+        "fields": fields_meta,
+    }
+    return Dataset(spec.name, tables, _metadata(spec, constants, extra))
+
+
+def _run_cat_phase(spec, constants):
+    s, a = _superposition_states(spec, *_ring_hamiltonian(spec, constants),
+                                 constants)
+    tables, fields_meta = {}, {}
     for theta in (0.0, np.pi / 2.0, np.pi):
         cat = phase_superposition(s, a, theta)
         fld = wigner_function(cat, spec.grid.x_axis(), spec.grid.p_axis())
-        name = f"wigner_theta{theta:.2f}.csv"
-        tables[name] = _field_table(fld)
-        fields_meta[name] = _field_descriptor(fld, spec)
+        _add_field(tables, fields_meta, f"wigner_theta{theta:.2f}.csv", fld,
+                   spec)
     return Dataset(spec.name, tables,
                    _metadata(spec, constants, {"fields": fields_meta}))
 
 
 def _run_friedman(spec, constants):
-    scales = derive_scales(spec.squid, constants)
-    h = build_fock_hamiltonian(spec.squid, scales, spec.run.dim, constants)
+    scales, h = _ring_hamiltonian(spec, constants)
     spectral = eigensolve(h)
     classification = classify_well_states(spectral, spec.squid, scales,
                                           constants)
@@ -478,24 +480,16 @@ def _run_friedman(spec, constants):
     i, j = best.state_index, best.partner
 
     x = spec.grid.x_axis()
-    u = potential_energy_scaled(x, spec.squid, scales, constants)
     levels = min(j + 3, spectral.eigenvalues.size)
-    cols = ["x", "potential"]
-    data = [x, u]
-    for k in range(levels):
-        psi = position_wavefunction(spectral.eigenvectors[:, k], x)
-        cols.append(f"level{k}")
-        data.append(np.abs(psi) ** 2 + spectral.eigenvalues[k])
-    tables = {"potential_wells.csv": (cols, np.column_stack(data))}
-
+    tables = {"potential_wells.csv": _level_panel(
+        x, spec.squid, scales, spectral, levels, constants)}
     fields_meta = {}
     for theta in (0.0, np.pi / 2.0, np.pi):
         cat = phase_superposition(spectral.eigenvectors[:, i],
                                   spectral.eigenvectors[:, j], theta)
         fld = wigner_function(cat, x, spec.grid.p_axis())
-        name = f"wigner_theta{theta:.2f}.csv"
-        tables[name] = _field_table(fld)
-        fields_meta[name] = _field_descriptor(fld, spec)
+        _add_field(tables, fields_meta, f"wigner_theta{theta:.2f}.csv", fld,
+                   spec)
 
     extra = {
         "pair_indices": [i, j],
@@ -516,8 +510,7 @@ def _propagation_health(traj):
 
 
 def _run_decohere_cat(spec, constants):
-    scales = derive_scales(spec.squid, constants)
-    h = build_fock_hamiltonian(spec.squid, scales, spec.run.dim, constants)
+    scales, h = _ring_hamiltonian(spec, constants)
     spectral = eigensolve(h, count=1)
     psi0 = spectral.eigenvectors[:, 0].astype(complex)
     rho0 = np.outer(psi0, psi0.conj())
@@ -534,14 +527,10 @@ def _run_decohere_cat(spec, constants):
     x, p = spec.grid.x_axis(), spec.grid.p_axis()
     fields_meta = {}
     for tau, rho in zip(traj.snapshot_times, traj.snapshots):
-        wig = wigner_function(rho, x, p)
-        wey = weyl_function(rho, x, p)
-        wig_name = f"wigner_tau{tau:07.2f}.csv"
-        wey_name = f"weyl_tau{tau:07.2f}.csv"
-        tables[wig_name] = _field_table(wig)
-        tables[wey_name] = _field_table(wey)
-        fields_meta[wig_name] = _field_descriptor(wig, spec)
-        fields_meta[wey_name] = _field_descriptor(wey, spec)
+        _add_field(tables, fields_meta, f"wigner_tau{tau:07.2f}.csv",
+                   wigner_function(rho, x, p), spec)
+        _add_field(tables, fields_meta, f"weyl_tau{tau:07.2f}.csv",
+                   weyl_function(rho, x, p), spec)
     extra = {"snapshot_taus": [float(t) for t in traj.snapshot_times],
              "fields": fields_meta, **_propagation_health(traj)}
     return Dataset(spec.name, tables, _metadata(spec, constants, extra))
@@ -551,8 +540,7 @@ SQUEEZE_DAMPINGS = (0.0, 0.001, 0.01, 0.1)
 
 
 def _run_squeeze(spec, constants):
-    scales = derive_scales(spec.squid, constants)
-    h = build_fock_hamiltonian(spec.squid, scales, spec.run.dim, constants)
+    scales, h = _ring_hamiltonian(spec, constants)
     psi0 = coherent_state(spec.state.alpha, spec.run.dim)
     rho0 = np.outer(psi0, psi0.conj())
     tables = {}
@@ -574,14 +562,38 @@ def _run_squeeze(spec, constants):
     return Dataset(spec.name, tables, _metadata(spec, constants, extra))
 
 
-def run_spectrum(spec, constants=CODATA2018):
-    return _run_level_sweep(spec, constants)
+def _builtin(name, runner, squid, **sections):
+    return name, (ScenarioSpec(name, squid, **sections), runner)
+
+
+# name -> (default spec, runner)
+SCENARIOS = dict([
+    _builtin("potential-wells", _run_potential_wells, standard_ring(),
+             sweep=SweepSpec(levels=8)),
+    _builtin("level-sweep", _run_level_sweep, standard_ring()),
+    _builtin("cat-049", _run_cat_049, standard_ring(0.49),
+             state=StateRecipe(kind="superposition")),
+    _builtin("cat-phase", _run_cat_phase, standard_ring(0.5),
+             state=StateRecipe(kind="superposition")),
+    _builtin("friedman", _run_friedman, friedman_ring(),
+             state=StateRecipe(kind="superposition")),
+    _builtin("decohere-cat", _run_decohere_cat, standard_ring(0.5),
+             bath=BathParams(temperature=1.0, damping=0.01),
+             state=StateRecipe(kind="eigenstate", index=0),
+             run=RunSettings(tau_max=30.0, record_stride=20,
+                             snapshot_stride=600)),
+    _builtin("squeeze", _run_squeeze, squeeze_ring(),
+             bath=BathParams(temperature=1.0, damping=0.0),
+             state=StateRecipe(kind="coherent", alpha=1j),
+             run=RunSettings(dim=160, tau_max=50.0, record_stride=5)),
+])
+
+run_spectrum = _run_level_sweep
 
 
 def run_eigenstates(spec, constants=CODATA2018):
     """One wavefunction CSV (x, re_psi, im_psi, density) per level."""
-    scales = derive_scales(spec.squid, constants)
-    h = build_fock_hamiltonian(spec.squid, scales, spec.run.dim, constants)
+    _, h = _ring_hamiltonian(spec, constants)
     count = spec.sweep.levels
     spectral = eigensolve(h, count=count)
     x = spec.grid.x_axis()
@@ -595,28 +607,30 @@ def run_eigenstates(spec, constants=CODATA2018):
     return Dataset("eigenstates", tables, _metadata(spec, constants, extra))
 
 
+def _run_field(spec, constants, kind):
+    """Wigner or Weyl field of the configured state, as `<kind>.csv`."""
+    _, _, psi = _resolve_state(spec, constants)
+    field_fn = wigner_function if kind == "wigner" else weyl_function
+    fld = field_fn(psi, spec.grid.x_axis(), spec.grid.p_axis())
+    tables, fields_meta = {}, {}
+    _add_field(tables, fields_meta, f"{kind}.csv", fld, spec)
+    return Dataset(kind, tables,
+                   _metadata(spec, constants, {"fields": fields_meta}))
+
+
 def run_wigner(spec, constants=CODATA2018):
-    _, psi = _resolve_state(spec, constants)
-    fld = wigner_function(psi, spec.grid.x_axis(), spec.grid.p_axis())
-    tables = {"wigner.csv": _field_table(fld)}
-    extra = {"fields": {"wigner.csv": _field_descriptor(fld, spec)}}
-    return Dataset("wigner", tables, _metadata(spec, constants, extra))
+    return _run_field(spec, constants, "wigner")
 
 
 def run_weyl(spec, constants=CODATA2018):
-    _, psi = _resolve_state(spec, constants)
-    fld = weyl_function(psi, spec.grid.x_axis(), spec.grid.p_axis())
-    tables = {"weyl.csv": _field_table(fld)}
-    extra = {"fields": {"weyl.csv": _field_descriptor(fld, spec)}}
-    return Dataset("weyl", tables, _metadata(spec, constants, extra))
+    return _run_field(spec, constants, "weyl")
 
 
 def run_evolve(spec, constants=CODATA2018):
     """Lindblad evolution of the configured state; optional rho snapshots."""
     if spec.bath is None:
         raise ConfigError("evolve needs bath.* settings")
-    scales = derive_scales(spec.squid, constants)
-    h, psi = _resolve_state(spec, constants)
+    scales, h, psi = _resolve_state(spec, constants)
     rho0 = np.outer(psi, psi.conj())
     traj = propagate(rho0, h, spec.bath, dtau=spec.run.dtau,
                      tau_max=spec.run.tau_max,

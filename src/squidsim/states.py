@@ -213,17 +213,8 @@ def classify_well_states(spectral: SpectralResult, params, scales=None,
 
     dim = spectral.eigenvectors.shape[0]
     x_op, _ = quadrature_operators(dim)
-    x2_op = x_op @ x_op
-
-    def moments(vec):
-        mx = float(np.real(np.vdot(vec, x_op @ vec)))
-        vx = float(np.real(np.vdot(vec, x2_op @ vec))) - mx * mx
-        return mx, np.sqrt(max(vx, 0.0))
-
-    stats = [moments(spectral.eigenvectors[:, j])
-             for j in range(spectral.eigenvectors.shape[1])]
-    means = [s[0] for s in stats]
-    spreads = [s[1] for s in stats]
+    means = [float(np.real(np.vdot(vec, x_op @ vec)))
+             for vec in spectral.eigenvectors.T]
 
     def nearest_well(x):
         return int(np.argmin([abs(x - w.position) for w in wells]))

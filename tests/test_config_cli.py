@@ -66,10 +66,36 @@ def test_critical_current_config_exclusivity():
     base = {"squid.capacitance_f": "1.03e-13", "squid.inductance_h": "2.38e-10"}
     spec = sq.ScenarioSpec.from_flat(base | {"squid.critical_current_a": "2.02e-6"})
     assert spec.squid.critical_current() == pytest.approx(2.02e-6, rel=1e-12)
-    with pytest.raises(ConfigError):
-        sq.ScenarioSpec.from_flat(base | {
-            "squid.critical_current_a": "2.02e-6",
-            "squid.josephson_energy_j": "1e-22"})
+    both = {"squid.critical_current_a": "2.02e-6",
+            "squid.josephson_energy_j": "1e-22"}
+    for mapping in (base | both, both):
+        with pytest.raises(ConfigError):
+            sq.ScenarioSpec.from_flat(mapping)
+
+
+@pytest.mark.parametrize("key, text, read", [
+    ("squid.josephson_energy_j", "1e-22", lambda s: s.squid.josephson_energy),
+    ("squid.critical_current_a", "2.02e-6",
+     lambda s: s.squid.critical_current()),
+    ("bath.frequency_rad_s", "1e11", lambda s: s.bath.frequency),
+])
+def test_each_key_overrides_its_own_field(key, text, read):
+    base = sq.builtin_scenario("decohere-cat")
+    spec = sq.builtin_scenario("decohere-cat", {key: text})
+    assert read(spec) == pytest.approx(float(text), rel=1e-12)
+    # every other field keeps the scenario default
+    assert spec.state == base.state and spec.run == base.run
+    assert spec.squid.capacitance == base.squid.capacitance
+    assert spec.squid.inductance == base.squid.inductance
+    assert spec.squid.bias_flux == base.squid.bias_flux
+    assert spec.bath.temperature == base.bath.temperature
+    assert spec.bath.damping == base.bath.damping
+
+
+def test_bath_key_creates_bath_with_defaults():
+    spec = sq.ScenarioSpec.from_flat({"bath.frequency_rad_s": "1e11"})
+    assert spec.bath == sq.BathParams(temperature=1.0, damping=0.0,
+                                      frequency=1e11)
 
 
 def test_unknown_scenario_rejected():
@@ -320,6 +346,26 @@ def test_cli_zero_record_stride_exit_code(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert "record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, text, needle", [
+    ("wigner", "state.index = 500\n", "state.index"),
+    ("wigner", "state.kind = superposition\nstate.pair_a = 70\n",
+     "state.pair_a"),
+    ("eigenstates", "sweep.levels = 500\n", "sweep.levels"),
+    ("spectrum", "sweep.stop = -1\n", "sweep.stop"),
+    ("spectrum", "sweep.step = nan\n", "sweep.step"),
+    ("spectrum", "sweep.levels = -3\nsweep.step = 0.25\n", "sweep.levels"),
+    ("evolve", "bath.damping = 0.05\nbath.frequency_rad_s = 0\n", "frequency"),
+])
+def test_cli_invalid_values_exit_code(tmp_path, capsys, cmd, text, needle):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("run.dim = 60\n" + text)
+    out = tmp_path / "out"
+    code = cli_main([cmd, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_propagation_health_in_metadata(tmp_path):

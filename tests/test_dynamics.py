@@ -5,6 +5,7 @@ import pytest
 
 import squidsim as sq
 from squidsim import BathParams, CODATA2018, ParameterError, StepSizeError
+from squidsim.scenarios import run_evolve
 
 
 def random_density(dim, seed):
@@ -36,6 +37,11 @@ def test_bath_validation():
         BathParams(temperature=-1.0, damping=0.1)
     with pytest.raises(ParameterError):
         BathParams(temperature=1.0, damping=-0.1)
+    for bad in (math.nan, 0.0, -1e11):
+        with pytest.raises(ParameterError):
+            BathParams(temperature=1.0, damping=0.1, frequency=bad)
+    with pytest.raises(ParameterError):
+        BathParams(temperature=math.nan, damping=0.1)
     with pytest.raises(ParameterError):
         sq.bath_occupation(BathParams(temperature=1.0, damping=0.1))
 
@@ -249,17 +255,11 @@ def test_state_observables_examples():
 
 
 def test_trajectory_csv_columns(tmp_path):
-    ring = sq.SquidParams(5e-15, 3e-10, 0.0)
-    scales = sq.derive_scales(ring)
-    h = sq.build_fock_hamiltonian(ring, scales, 8)
-    rho0 = np.zeros((8, 8), dtype=complex)
-    rho0[0, 0] = 1.0
-    bath = BathParams(temperature=1.0, damping=0.1).resolved(scales)
-    traj = sq.propagate(rho0, h, bath, dtau=0.01, tau_max=0.1)
-    out = tmp_path / "traj.csv"
-    with open(out, "w") as fh:
-        traj.write_csv(fh)
-    header = out.read_text().splitlines()[0]
+    spec = sq.ScenarioSpec.from_flat({
+        "run.dim": "10", "run.dtau": "0.01", "run.tau_max": "0.1",
+        "bath.temperature_k": "1.0", "bath.damping": "0.1"})
+    sq.emit_dataset(run_evolve(spec), tmp_path)
+    header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
     assert header == "tau,mean_x,mean_p,var_x,var_p,occupation,trace,purity"
 
 

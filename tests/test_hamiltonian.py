@@ -192,14 +192,7 @@ def test_sweep_minimum_gap_at_half_quantum():
     assert sweep.bias_values[np.argmin(gaps)] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_sweep_workers_agree():
-    seq = sq.spectrum_sweep(sq.standard_ring(), 0.0, 0.5, 0.125,
-                            levels=4, dim=120)
-    par = sq.spectrum_sweep(sq.standard_ring(), 0.0, 0.5, 0.125,
-                            levels=4, dim=120, workers=2)
-    assert np.array_equal(seq.levels, par.levels)
-
-
 def test_sweep_step_validation():
-    with pytest.raises(ParameterError):
-        sq.spectrum_sweep(sq.standard_ring(), 0.0, 1.0, 0.0)
+    for step in (0.0, -0.1, math.nan):
+        with pytest.raises(ParameterError):
+            sq.spectrum_sweep(sq.standard_ring(), 0.0, 1.0, step)
