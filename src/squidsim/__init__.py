@@ -7,6 +7,10 @@ squeezing of coherent states, plus a scenario CLI that emits CSV datasets.
 
 __version__ = "0.1.0"
 
+# SQUIDSIM_THREADS must reach the BLAS variables before numpy is loaded
+from .cli import _apply_thread_override
+_apply_thread_override()
+
 from .errors import (ConfigError, ConvergenceError, DegeneracyError,
                      GridResolutionError, ParameterError, PositivityWarning,
                      SquidSimError, StepSizeError, TruncationError)

@@ -1,13 +1,16 @@
-"""Command-line surface: named scenarios and generic dataset subcommands.
+"""Command-line surface: every registered scenario, by name or subcommand.
 
-Exit codes: 0 success, 2 configuration error, 3 convergence failure,
-4 I/O error.  The environment variable SQUIDSIM_THREADS caps the linear
-algebra thread count (applied before numpy is imported).
+Each subcommand NAME is shorthand for `squidsim scenario NAME`.  Exit codes:
+0 success, 2 configuration error, 3 convergence failure, 4 I/O error.
+Library warnings are reported as one `squidsim: warning:` line each.  The
+environment variable SQUIDSIM_THREADS caps the linear algebra thread count;
+the package applies it on import, before numpy is loaded.
 """
 
 import argparse
 import os
 import sys
+import warnings
 
 
 def _apply_thread_override():
@@ -52,10 +55,16 @@ def _build_parser():
 
 
 def main(argv=None):
-    _apply_thread_override()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        code = _run(args)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"squidsim: warning: {message}", file=sys.stderr)
+    return code
 
+
+def _run(args):
     from .config import read_config
     from .errors import (ConfigError, ConvergenceError, SquidSimError,
                          TruncationError)
@@ -68,23 +77,9 @@ def main(argv=None):
         levels = getattr(args, "levels", None)
         if levels is not None:
             overrides["sweep.levels"] = str(levels)
-
-        if args.command == "scenario":
-            spec = scenarios.builtin_scenario(args.name, overrides)
-            dataset = scenarios.run_scenario(spec)
-        elif args.command == "squeeze":
-            spec = scenarios.builtin_scenario("squeeze", overrides)
-            dataset = scenarios.run_scenario(spec)
-        else:
-            spec = scenarios.ScenarioSpec.from_flat(overrides)
-            runner = {
-                "spectrum": scenarios.run_spectrum,
-                "eigenstates": scenarios.run_eigenstates,
-                "wigner": scenarios.run_wigner,
-                "weyl": scenarios.run_weyl,
-                "evolve": scenarios.run_evolve,
-            }[args.command]
-            dataset = runner(spec)
+        name = args.name if args.command == "scenario" else args.command
+        dataset = scenarios.run_scenario(
+            scenarios.builtin_scenario(name, overrides))
         written = scenarios.emit_dataset(dataset, args.out, args.format)
     except ConfigError as exc:
         print(f"squidsim: config error: {exc}", file=sys.stderr)

@@ -8,11 +8,12 @@ rows.  A key overrides only its own field of the base spec.  Numbers must
 be finite, counts at least 1 and indices below the basis size; anything
 else raises ConfigError.
 
-SCENARIOS maps each built-in scenario name to its default spec and its
-runner.  A runner produces a Dataset: named CSV tables plus a metadata
-dictionary that echoes the full configuration, the derived scales and the
-integrator settings, so a run can be reproduced bit-identically from its
-own metadata.
+SCENARIOS maps each scenario name, the CLI subcommands included, to its
+default spec and its runner.  A runner returns named CSV tables and extra
+metadata; run_scenario wraps them in a Dataset whose metadata echoes the
+full configuration, the derived scales and the integrator settings, so a
+run can be reproduced bit-identically from its own metadata.  Runners that
+start from one state take it from spec.state.
 """
 
 import dataclasses
@@ -39,7 +40,6 @@ __all__ = [
     "GridSpec", "StateRecipe", "RunSettings", "SweepSpec", "ScenarioSpec",
     "Dataset", "SCENARIOS", "standard_ring", "squeeze_ring",
     "friedman_ring", "builtin_scenario", "run_scenario", "emit_dataset",
-    "run_spectrum", "run_eigenstates", "run_wigner", "run_weyl", "run_evolve",
 ]
 
 FLOAT_FMT = "%.12g"
@@ -406,9 +406,12 @@ def _resolve_state(spec, constants=CODATA2018):
 
 
 def run_scenario(spec: ScenarioSpec, constants=CODATA2018) -> Dataset:
-    """Execute a built-in scenario and return its Dataset."""
-    return _registered(spec.name)[1](spec, constants)
+    """Execute a registered scenario and return its Dataset."""
+    tables, extra = _registered(spec.name)[1](spec, constants)
+    return Dataset(spec.name, tables, _metadata(spec, constants, extra))
 
+
+# A runner maps (spec, constants) to (tables, extra metadata).
 
 def _run_potential_wells(spec, constants):
     tables = {}
@@ -420,47 +423,46 @@ def _run_potential_wells(spec, constants):
         spectral = eigensolve(h, count=spec.sweep.levels)
         tables[f"potential_wells_phix{bias:.2f}.csv"] = _level_panel(
             x, ring, scales, spectral, spec.sweep.levels, constants)
-    return Dataset(spec.name, tables, _metadata(spec, constants))
+    return tables, {}
 
 
-def _run_level_sweep(spec, constants=CODATA2018):
+def _run_level_sweep(spec, constants):
     sweep = spectrum_sweep(spec.squid, spec.sweep.start, spec.sweep.stop,
                            spec.sweep.step, levels=spec.sweep.levels,
                            dim=spec.run.dim, constants=constants)
     cols = ["phi_x"] + [f"E{i}" for i in range(sweep.levels.shape[1])]
     tables = {"level_sweep.csv": (cols, np.column_stack([sweep.bias_values,
                                                          sweep.levels]))}
-    return Dataset(spec.name, tables, _metadata(spec, constants))
+    return tables, {}
 
 
 def _run_cat_049(spec, constants):
-    _, h = _ring_hamiltonian(spec, constants)
-    spectral = eigensolve(h, count=2)
-    cat = phase_superposition(spectral.eigenvectors[:, 0],
-                              spectral.eigenvectors[:, 1], spec.state.theta)
-    fld = wigner_function(cat, spec.grid.x_axis(), spec.grid.p_axis())
-    diag = phase_space_diagnostics(fld, cat)
+    _, _, psi = _resolve_state(spec, constants)
+    fld = wigner_function(psi, spec.grid.x_axis(), spec.grid.p_axis())
+    diag = phase_space_diagnostics(fld, psi)
     tables, fields_meta = {}, {}
     _add_field(tables, fields_meta, "wigner_cat_phix0.49.csv", fld, spec)
-    extra = {
-        "wigner_normalization": diag.normalization,
-        "wigner_negativity_volume": diag.negativity_volume,
-        "fields": fields_meta,
-    }
-    return Dataset(spec.name, tables, _metadata(spec, constants, extra))
+    return tables, {"wigner_normalization": diag.normalization,
+                    "wigner_negativity_volume": diag.negativity_volume,
+                    "fields": fields_meta}
+
+
+def _theta_fields(tables, fields_meta, s, a, spec):
+    """File the Wigner fields of (s + e^{i theta} a)/sqrt(2) for theta = 0,
+    pi/2 and pi."""
+    for theta in (0.0, np.pi / 2.0, np.pi):
+        fld = wigner_function(phase_superposition(s, a, theta),
+                              spec.grid.x_axis(), spec.grid.p_axis())
+        _add_field(tables, fields_meta, f"wigner_theta{theta:.2f}.csv", fld,
+                   spec)
 
 
 def _run_cat_phase(spec, constants):
     s, a = _superposition_states(spec, *_ring_hamiltonian(spec, constants),
                                  constants)
     tables, fields_meta = {}, {}
-    for theta in (0.0, np.pi / 2.0, np.pi):
-        cat = phase_superposition(s, a, theta)
-        fld = wigner_function(cat, spec.grid.x_axis(), spec.grid.p_axis())
-        _add_field(tables, fields_meta, f"wigner_theta{theta:.2f}.csv", fld,
-                   spec)
-    return Dataset(spec.name, tables,
-                   _metadata(spec, constants, {"fields": fields_meta}))
+    _theta_fields(tables, fields_meta, s, a, spec)
+    return tables, {"fields": fields_meta}
 
 
 def _run_friedman(spec, constants):
@@ -479,26 +481,28 @@ def _run_friedman(spec, constants):
     )
     i, j = best.state_index, best.partner
 
-    x = spec.grid.x_axis()
     levels = min(j + 3, spectral.eigenvalues.size)
     tables = {"potential_wells.csv": _level_panel(
-        x, spec.squid, scales, spectral, levels, constants)}
+        spec.grid.x_axis(), spec.squid, scales, spectral, levels, constants)}
     fields_meta = {}
-    for theta in (0.0, np.pi / 2.0, np.pi):
-        cat = phase_superposition(spectral.eigenvectors[:, i],
-                                  spectral.eigenvectors[:, j], theta)
-        fld = wigner_function(cat, x, spec.grid.p_axis())
-        _add_field(tables, fields_meta, f"wigner_theta{theta:.2f}.csv", fld,
-                   spec)
-
-    extra = {
+    _theta_fields(tables, fields_meta, spectral.eigenvectors[:, i],
+                  spectral.eigenvectors[:, j], spec)
+    return tables, {
         "pair_indices": [i, j],
         "pair_splitting_hbar_omega": float(spectral.eigenvalues[j]
                                            - spectral.eigenvalues[i]),
         "pair_well_ordinals": {str(w): o for w, o in best.ordinals},
         "fields": fields_meta,
     }
-    return Dataset(spec.name, tables, _metadata(spec, constants, extra))
+
+
+def _propagate(spec, bath, scales, h, psi, snapshot_stride, constants):
+    """Thermal-bath evolution of the pure state psi under spec.run."""
+    return propagate(np.outer(psi, psi.conj()), h, bath, dtau=spec.run.dtau,
+                     tau_max=spec.run.tau_max,
+                     record_stride=spec.run.record_stride,
+                     snapshot_stride=snapshot_stride,
+                     scales=scales, constants=constants)
 
 
 def _propagation_health(traj):
@@ -510,19 +514,12 @@ def _propagation_health(traj):
 
 
 def _run_decohere_cat(spec, constants):
-    scales, h = _ring_hamiltonian(spec, constants)
-    spectral = eigensolve(h, count=1)
-    psi0 = spectral.eigenvectors[:, 0].astype(complex)
-    rho0 = np.outer(psi0, psi0.conj())
+    scales, h, psi = _resolve_state(spec, constants)
     stride = spec.run.snapshot_stride
     if stride is None:
         # default to ten field snapshots across the run
         stride = max(1, int(round(spec.run.tau_max / spec.run.dtau / 10)))
-    traj = propagate(rho0, h, spec.bath, dtau=spec.run.dtau,
-                     tau_max=spec.run.tau_max,
-                     record_stride=spec.run.record_stride,
-                     snapshot_stride=stride,
-                     scales=scales, constants=constants)
+    traj = _propagate(spec, spec.bath, scales, h, psi, stride, constants)
     tables = {"trajectory.csv": (list(traj.COLUMNS), traj.as_table())}
     x, p = spec.grid.x_axis(), spec.grid.p_axis()
     fields_meta = {}
@@ -531,42 +528,72 @@ def _run_decohere_cat(spec, constants):
                    wigner_function(rho, x, p), spec)
         _add_field(tables, fields_meta, f"weyl_tau{tau:07.2f}.csv",
                    weyl_function(rho, x, p), spec)
-    extra = {"snapshot_taus": [float(t) for t in traj.snapshot_times],
-             "fields": fields_meta, **_propagation_health(traj)}
-    return Dataset(spec.name, tables, _metadata(spec, constants, extra))
+    return tables, {"snapshot_taus": [float(t) for t in traj.snapshot_times],
+                    "fields": fields_meta, **_propagation_health(traj)}
 
 
 SQUEEZE_DAMPINGS = (0.0, 0.001, 0.01, 0.1)
 
 
 def _run_squeeze(spec, constants):
-    scales, h = _ring_hamiltonian(spec, constants)
-    psi0 = coherent_state(spec.state.alpha, spec.run.dim)
-    rho0 = np.outer(psi0, psi0.conj())
-    tables = {}
-    minima = {}
-    health = {}
+    scales, h, psi = _resolve_state(spec, constants)
+    tables, minima, health = {}, {}, {}
     for g in SQUEEZE_DAMPINGS:
-        bath = BathParams(temperature=spec.bath.temperature, damping=g,
-                          frequency=spec.bath.frequency)
-        traj = propagate(rho0, h, bath, dtau=spec.run.dtau,
-                         tau_max=spec.run.tau_max,
-                         record_stride=spec.run.record_stride,
-                         scales=scales, constants=constants)
-        name = f"trajectory_g{g:g}.csv"
-        tables[name] = (list(traj.COLUMNS), traj.as_table())
+        bath = dataclasses.replace(spec.bath, damping=g)
+        traj = _propagate(spec, bath, scales, h, psi, None, constants)
+        tables[f"trajectory_g{g:g}.csv"] = (list(traj.COLUMNS), traj.as_table())
         minima[f"{g:g}"] = float(np.min(traj.var_x))
         for key, value in _propagation_health(traj).items():
             health.setdefault(key, {})[f"{g:g}"] = value
-    extra = {"min_var_x": minima, **health}
-    return Dataset(spec.name, tables, _metadata(spec, constants, extra))
+    return tables, {"min_var_x": minima, **health}
+
+
+def _run_eigenstates(spec, constants):
+    """One wavefunction CSV (x, re_psi, im_psi, density) per level."""
+    _, h = _ring_hamiltonian(spec, constants)
+    count = spec.sweep.levels
+    spectral = eigensolve(h, count=count)
+    x = spec.grid.x_axis()
+    tables = {}
+    for k in range(count):
+        psi = position_wavefunction(spectral.eigenvectors[:, k], x)
+        tables[f"eigenstate_{k}.csv"] = (
+            ["x", "re_psi", "im_psi", "density"],
+            np.column_stack([x, psi.real, psi.imag, np.abs(psi) ** 2]))
+    return tables, {"eigenvalues": [float(v) for v in spectral.eigenvalues]}
+
+
+def _run_field(spec, constants):
+    """The configured state's Wigner or Weyl field (after the scenario
+    name), as `<name>.csv`."""
+    _, _, psi = _resolve_state(spec, constants)
+    field_fn = {"wigner": wigner_function, "weyl": weyl_function}[spec.name]
+    fld = field_fn(psi, spec.grid.x_axis(), spec.grid.p_axis())
+    tables, fields_meta = {}, {}
+    _add_field(tables, fields_meta, f"{spec.name}.csv", fld, spec)
+    return tables, {"fields": fields_meta}
+
+
+def _run_evolve(spec, constants):
+    """Lindblad evolution of the configured state; optional rho snapshots."""
+    if spec.bath is None:
+        raise ConfigError("evolve needs bath.* settings")
+    scales, h, psi = _resolve_state(spec, constants)
+    traj = _propagate(spec, spec.bath, scales, h, psi,
+                      spec.run.snapshot_stride, constants)
+    tables = {"trajectory.csv": (list(traj.COLUMNS), traj.as_table())}
+    for tau, rho in zip(traj.snapshot_times, traj.snapshots):
+        idx = [f"n{k}" for k in range(rho.shape[0])]
+        tables[f"rho_tau{tau:07.2f}_re.csv"] = (idx, rho.real)
+        tables[f"rho_tau{tau:07.2f}_im.csv"] = (idx, rho.imag)
+    return tables, _propagation_health(traj)
 
 
 def _builtin(name, runner, squid, **sections):
     return name, (ScenarioSpec(name, squid, **sections), runner)
 
 
-# name -> (default spec, runner)
+# name -> (default spec, runner); the CLI subcommands are entries too
 SCENARIOS = dict([
     _builtin("potential-wells", _run_potential_wells, standard_ring(),
              sweep=SweepSpec(levels=8)),
@@ -586,64 +613,12 @@ SCENARIOS = dict([
              bath=BathParams(temperature=1.0, damping=0.0),
              state=StateRecipe(kind="coherent", alpha=1j),
              run=RunSettings(dim=160, tau_max=50.0, record_stride=5)),
+    _builtin("spectrum", _run_level_sweep, standard_ring()),
+    _builtin("eigenstates", _run_eigenstates, standard_ring()),
+    _builtin("wigner", _run_field, standard_ring()),
+    _builtin("weyl", _run_field, standard_ring()),
+    _builtin("evolve", _run_evolve, standard_ring()),
 ])
-
-run_spectrum = _run_level_sweep
-
-
-def run_eigenstates(spec, constants=CODATA2018):
-    """One wavefunction CSV (x, re_psi, im_psi, density) per level."""
-    _, h = _ring_hamiltonian(spec, constants)
-    count = spec.sweep.levels
-    spectral = eigensolve(h, count=count)
-    x = spec.grid.x_axis()
-    tables = {}
-    for k in range(count):
-        psi = position_wavefunction(spectral.eigenvectors[:, k], x)
-        tables[f"eigenstate_{k}.csv"] = (
-            ["x", "re_psi", "im_psi", "density"],
-            np.column_stack([x, psi.real, psi.imag, np.abs(psi) ** 2]))
-    extra = {"eigenvalues": [float(v) for v in spectral.eigenvalues]}
-    return Dataset("eigenstates", tables, _metadata(spec, constants, extra))
-
-
-def _run_field(spec, constants, kind):
-    """Wigner or Weyl field of the configured state, as `<kind>.csv`."""
-    _, _, psi = _resolve_state(spec, constants)
-    field_fn = wigner_function if kind == "wigner" else weyl_function
-    fld = field_fn(psi, spec.grid.x_axis(), spec.grid.p_axis())
-    tables, fields_meta = {}, {}
-    _add_field(tables, fields_meta, f"{kind}.csv", fld, spec)
-    return Dataset(kind, tables,
-                   _metadata(spec, constants, {"fields": fields_meta}))
-
-
-def run_wigner(spec, constants=CODATA2018):
-    return _run_field(spec, constants, "wigner")
-
-
-def run_weyl(spec, constants=CODATA2018):
-    return _run_field(spec, constants, "weyl")
-
-
-def run_evolve(spec, constants=CODATA2018):
-    """Lindblad evolution of the configured state; optional rho snapshots."""
-    if spec.bath is None:
-        raise ConfigError("evolve needs bath.* settings")
-    scales, h, psi = _resolve_state(spec, constants)
-    rho0 = np.outer(psi, psi.conj())
-    traj = propagate(rho0, h, spec.bath, dtau=spec.run.dtau,
-                     tau_max=spec.run.tau_max,
-                     record_stride=spec.run.record_stride,
-                     snapshot_stride=spec.run.snapshot_stride,
-                     scales=scales, constants=constants)
-    tables = {"trajectory.csv": (list(traj.COLUMNS), traj.as_table())}
-    for tau, rho in zip(traj.snapshot_times, traj.snapshots):
-        idx = [f"n{k}" for k in range(rho.shape[0])]
-        tables[f"rho_tau{tau:07.2f}_re.csv"] = (idx, rho.real)
-        tables[f"rho_tau{tau:07.2f}_im.csv"] = (idx, rho.imag)
-    return Dataset("evolve", tables,
-                   _metadata(spec, constants, _propagation_health(traj)))
 
 
 def _write_atomic(path, text):

@@ -1,6 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +339,132 @@ def test_thread_override_sets_environment(monkeypatch):
     _apply_thread_override()
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+
+
+def test_thread_override_precedes_numpy_import():
+    # a meta-path finder records OPENBLAS_NUM_THREADS when numpy is first
+    # looked up, i.e. before its BLAS pool starts
+    probe = textwrap.dedent("""
+        import os, sys
+        seen = []
+        class Probe:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        sys.meta_path.insert(0, Probe())
+        import squidsim.cli
+        print(seen)
+    """)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["SQUIDSIM_THREADS"] = "1"
+    src = os.path.dirname(os.path.dirname(sq.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "['1']"
+
+
+def test_cli_reports_library_warnings_as_one_line(tmp_path, capsys):
+    # the default +-16 grid reaches past the dim-60 basis support
+    code = cli_main(["eigenstates", "--dim", "60", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "squidsim: warning: grid reaches" in err
+    assert err.count("squidsim: warning:") == 1
+    assert ".py:" not in err
+
+
+def test_cli_reports_positivity_warning_once(tmp_path, capsys, monkeypatch):
+    from squidsim import scenarios
+    sweep = scenarios.spectrum_sweep
+
+    def warning_sweep(*args, **kwargs):
+        for _ in range(2):
+            warnings.warn("density matrix has eigenvalue -1e-3",
+                          sq.PositivityWarning)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "spectrum_sweep", warning_sweep)
+    code = cli_main(["spectrum", "--dim", "40", "--config",
+                     _sweep_cfg(tmp_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err == ("squidsim: warning: density matrix has eigenvalue "
+                   "-1e-3\n")
+
+
+REGISTRY_CFG = (
+    "run.dim = 80\nrun.tau_max = 0.05\nrun.dtau = 0.005\n"
+    "run.record_stride = 5\nrun.snapshot_stride = 5\n"
+    "sweep.step = 0.25\nsweep.levels = 3\n"
+    "grid.x_min = -12\ngrid.x_max = 12\ngrid.x_points = 17\n"
+    "grid.p_min = -12\ngrid.p_max = 12\ngrid.p_points = 17\n"
+    "bath.temperature_k = 1.0\nbath.damping = 0.05\n")
+
+
+@pytest.mark.parametrize("name", list(sq.SCENARIOS))
+def test_every_registered_scenario_runs_from_the_cli(tmp_path, name):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(REGISTRY_CFG)
+    out = tmp_path / "out"
+    code = cli_main(["scenario", name, "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["scenario"] == name
+    assert meta["config"]["scenario.name"] == name
+
+
+def test_spectrum_json_bundle_is_named_after_the_command(tmp_path):
+    code = cli_main(["spectrum", "--dim", "60", "--format", "json-bundle",
+                     "--config", _sweep_cfg(tmp_path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert os.listdir(tmp_path / "out") == ["spectrum.json"]
+
+
+def test_config_scenario_name_does_not_rename_a_subcommand(tmp_path):
+    cfg = tmp_path / "named.cfg"
+    cfg.write_text("scenario.name = friedman\ngrid.x_points = 17\n"
+                   "grid.p_points = 17\n")
+    out = tmp_path / "out"
+    assert cli_main(["wigner", "--dim", "60", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["scenario"] == "wigner"
+    assert meta["config"]["scenario.name"] == "wigner"
+    assert meta["config"]["squid.bias_flux_phi0"] == "0.0"
+
+
+def test_cat_049_draws_the_configured_state(tmp_path):
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text("squid.bias_flux_phi0 = 0.49\n"
+                   "state.kind = eigenstate\nstate.index = 1\n"
+                   "grid.x_min = -12\ngrid.x_max = 12\ngrid.x_points = 33\n"
+                   "grid.p_min = -12\ngrid.p_max = 12\ngrid.p_points = 33\n")
+    for cmd in (["scenario", "cat-049"], ["wigner"]):
+        assert cli_main([*cmd, "--dim", "100", "--config", str(cfg),
+                         "--out", str(tmp_path / cmd[-1])]) == 0
+    cat = (tmp_path / "cat-049" / "wigner_cat_phix0.49.csv").read_bytes()
+    assert cat == (tmp_path / "wigner" / "wigner.csv").read_bytes()
+
+
+def test_decohere_cat_starts_from_the_configured_eigenstate():
+    first_rows = []
+    for index in ("0", "1"):
+        spec = sq.builtin_scenario("decohere-cat", {
+            "run.dim": "80", "run.tau_max": "0.01", "run.record_stride": "1",
+            "run.snapshot_stride": "2", "state.index": index,
+            "grid.x_points": "9", "grid.p_points": "9"})
+        _, rows = sq.run_scenario(spec).tables["trajectory.csv"]
+        first_rows.append(rows[0])
+    assert not np.array_equal(first_rows[0], first_rows[1])
 
 
 def test_cli_zero_record_stride_exit_code(tmp_path, capsys):

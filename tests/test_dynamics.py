@@ -5,7 +5,6 @@ import pytest
 
 import squidsim as sq
 from squidsim import BathParams, CODATA2018, ParameterError, StepSizeError
-from squidsim.scenarios import run_evolve
 
 
 def random_density(dim, seed):
@@ -255,10 +254,10 @@ def test_state_observables_examples():
 
 
 def test_trajectory_csv_columns(tmp_path):
-    spec = sq.ScenarioSpec.from_flat({
+    spec = sq.builtin_scenario("evolve", {
         "run.dim": "10", "run.dtau": "0.01", "run.tau_max": "0.1",
         "bath.temperature_k": "1.0", "bath.damping": "0.1"})
-    sq.emit_dataset(run_evolve(spec), tmp_path)
+    sq.emit_dataset(sq.run_scenario(spec), tmp_path)
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
     assert header == "tau,mean_x,mean_p,var_x,var_p,occupation,trace,purity"
 
