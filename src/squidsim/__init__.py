@@ -17,14 +17,13 @@ from .errors import (ConfigError, ConvergenceError, DegeneracyError,
 from .params import (CODATA2018, DerivedScales, PhysicalConstants,
                      SquidParams, charge_to_momentum, derive_scales,
                      flux_to_position, momentum_to_charge, position_to_flux)
-from .operators import (annihilation, cosine_operator, displacement_operator,
-                        hermiticity_defect, ladder_operators, number_operator,
-                        parity_operator, quadrature_operators, sine_operator)
+from .operators import (annihilation, cosine_operator, hermiticity_defect,
+                        ladder_operators, number_operator,
+                        quadrature_operators, sine_operator)
 from .hamiltonian import (FluxGridHamiltonian, FluxSweep, SpectralResult,
                           Well, build_flux_grid_hamiltonian,
                           build_fock_hamiltonian, converge_dimension,
-                          default_flux_grid, eigensolve,
-                          find_potential_wells, potential_energy,
+                          eigensolve, find_potential_wells, potential_energy,
                           potential_energy_scaled, spectrum_sweep)
 from .states import (WellClassification, WellLabel, classify_well_states,
                      coherent_state, fock_state, hermite_functions,
@@ -32,10 +31,9 @@ from .states import (WellClassification, WellLabel, classify_well_states,
 from .phase_space import (PhaseSpaceDiagnostics, PhaseSpaceField,
                           phase_space_diagnostics, weyl_function,
                           wigner_function, wigner_to_weyl)
-from .dynamics import (BathParams, Observables, StateTrajectory, Trajectory,
-                       bath_occupation, evolve_closed_spectral,
-                       lindblad_generator, propagate, propagate_state,
-                       state_observables)
+from .dynamics import (BathParams, Observables, Trajectory, bath_occupation,
+                       evolve_closed_spectral, lindblad_generator, propagate,
+                       propagate_state, state_observables)
 from .scenarios import (Dataset, GridSpec, RunSettings, SCENARIOS,
                         ScenarioSpec, StateRecipe, SweepSpec,
                         builtin_scenario, emit_dataset, friedman_ring,

@@ -30,7 +30,7 @@ from .errors import ParameterError, PositivityWarning, StepSizeError
 from .params import CODATA2018
 
 __all__ = [
-    "BathParams", "Observables", "Trajectory", "StateTrajectory",
+    "BathParams", "Observables", "Trajectory",
     "bath_occupation", "lindblad_generator", "propagate", "propagate_state",
     "evolve_closed_spectral", "state_observables",
 ]
@@ -69,18 +69,18 @@ class BathParams:
         return replace(self, frequency=scales.omega)
 
 
-def bath_occupation(bath: BathParams, constants=CODATA2018):
+def bath_occupation(bath: BathParams):
     """Mean bath occupation M = 1/(exp(hbar*w_b/(kB*T)) - 1); 0 at T = 0."""
     if bath.frequency is None:
         raise ParameterError("bath frequency unresolved; call resolved() first")
     if bath.temperature == 0.0:
         return 0.0
-    ratio = constants.hbar * bath.frequency / (constants.boltzmann * bath.temperature)
+    ratio = (CODATA2018.hbar * bath.frequency
+             / (CODATA2018.boltzmann * bath.temperature))
     return 1.0 / math.expm1(ratio)
 
 
-def lindblad_generator(rho, hamiltonian, a, bath: BathParams,
-                       constants=CODATA2018):
+def lindblad_generator(rho, hamiltonian, a, bath: BathParams):
     """Right-hand side drho/dtau of the master equation (dense matrices).
 
     Reference implementation by matrix products in the number basis; the
@@ -92,7 +92,7 @@ def lindblad_generator(rho, hamiltonian, a, bath: BathParams,
             f"dimension mismatch: rho {rho.shape}, H {hamiltonian.shape}, "
             f"a {a.shape}")
     g = bath.damping
-    m_occ = bath_occupation(bath, constants)
+    m_occ = bath_occupation(bath)
     adag = a.conj().T
     out = -1j * (hamiltonian @ rho - rho @ hamiltonian)
     if g > 0.0:
@@ -224,8 +224,7 @@ def _columns(rows):
 
 
 def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
-              record_stride=1, snapshot_stride=None, scales=None,
-              constants=CODATA2018):
+              record_stride=1, snapshot_stride=None, scales=None):
     """Propagate a density matrix under the thermal master equation.
 
     Fixed-step RK4 on the kept energy levels with per-step Hermitisation and
@@ -243,7 +242,7 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
     if scales is not None:
         bath = bath.resolved(scales)
     g = bath.damping
-    m_occ = bath_occupation(bath, constants) if g > 0.0 else 0.0
+    m_occ = bath_occupation(bath) if g > 0.0 else 0.0
     down, up = g * (m_occ + 1.0), g * m_occ     # rates of the a and a† jumps
 
     energies, vecs = np.linalg.eigh(hamiltonian)

@@ -14,14 +14,14 @@ boundaries.  The two spectra must agree; that agreement is what validates
 the number-basis route.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError, GridResolutionError, ParameterError
-from .operators import cosine_operator, hermiticity_defect, number_operator
+from .operators import cosine_operator, hermiticity_defect
 from .params import CODATA2018, DerivedScales, SquidParams, derive_scales
 
 __all__ = [
@@ -35,13 +35,17 @@ __all__ = [
     "barrier_between",
     "build_fock_hamiltonian",
     "build_flux_grid_hamiltonian",
-    "default_flux_grid",
     "eigensolve",
     "spectrum_sweep",
     "converge_dimension",
 ]
 
 DEFAULT_DIM = 400
+# default flux grid: walls this many flux quanta beyond the outer wells
+FLUX_GRID_PADDING_QUANTA = 3.0
+FLUX_GRID_POINTS = 500_001
+# fewest flux-grid points per shortest local oscillation
+MIN_POINTS_PER_OSCILLATION = 8
 
 
 @dataclass
@@ -65,19 +69,19 @@ class FluxSweep:
     levels: np.ndarray
 
 
-def potential_energy(phi, params: SquidParams, constants=CODATA2018):
+def potential_energy(phi, params: SquidParams):
     """Ring potential U(Phi) in joule; phi in weber (scalar or array)."""
     phi = np.asarray(phi, dtype=float)
-    phi_x = params.bias_flux * constants.flux_quantum
+    phi_x = params.bias_flux * CODATA2018.flux_quantum
     quad = (phi - phi_x) ** 2 / (2.0 * params.inductance)
     joseph = params.josephson_energy * np.cos(
-        2.0 * np.pi * phi / constants.flux_quantum
+        2.0 * np.pi * phi / CODATA2018.flux_quantum
     )
     return quad - joseph
 
 
 def potential_energy_scaled(x, params: SquidParams, scales: DerivedScales = None,
-                            constants=CODATA2018, frame="oscillator"):
+                            frame="oscillator"):
     """Dimensionless potential in units of hbar*omega at dimensionless position x.
 
     frame="oscillator" puts the origin at the parabola minimum (the frame of
@@ -85,16 +89,14 @@ def potential_energy_scaled(x, params: SquidParams, scales: DerivedScales = None
     frame="flux" keeps the physical flux origin, x = sqrt(C*omega/hbar)*Phi.
     """
     if scales is None:
-        scales = derive_scales(params, constants)
+        scales = derive_scales(params)
     x = np.asarray(x, dtype=float)
     if frame == "oscillator":
         arg = np.sqrt(2.0) * scales.cosine_scale_k * x + 2.0 * np.pi * params.bias_flux
         return 0.5 * x * x - scales.nu_over_omega * np.cos(arg)
     if frame == "flux":
         phi = x / scales.x_per_weber
-        return potential_energy(phi, params, constants) / (
-            constants.hbar * scales.omega
-        )
+        return potential_energy(phi, params) / (CODATA2018.hbar * scales.omega)
     raise ParameterError(f"unknown frame {frame!r}")
 
 
@@ -107,27 +109,25 @@ class Well:
     curvature: float  # d2u/dx2 at the minimum
 
 
-def find_potential_wells(params: SquidParams, scales: DerivedScales = None,
-                         constants=CODATA2018, span=None):
+def find_potential_wells(params: SquidParams, scales: DerivedScales = None):
     """Locate all local minima of the potential, left to right.
 
     A coarse scan with spacing 1e-3 of a flux quantum brackets each minimum,
     which is then refined by 1-D minimisation.
     """
     if scales is None:
-        scales = derive_scales(params, constants)
+        scales = derive_scales(params)
     period = scales.flux_quantum_in_x
-    if span is None:
-        # local minima can only exist where the parabola slope can be balanced
-        reach = scales.nu_over_omega * np.sqrt(2.0) * scales.cosine_scale_k
-        span = reach + period
+    # local minima can only exist where the parabola slope can be balanced
+    reach = scales.nu_over_omega * np.sqrt(2.0) * scales.cosine_scale_k
+    span = reach + period
     step = 1e-3 * period
     grid = np.arange(-span, span + step, step)
-    u = potential_energy_scaled(grid, params, scales, constants)
+    u = potential_energy_scaled(grid, params, scales)
     interior = np.nonzero((u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:]))[0] + 1
 
     def f(x):
-        return potential_energy_scaled(x, params, scales, constants)
+        return potential_energy_scaled(x, params, scales)
 
     wells = []
     for i in interior:
@@ -139,13 +139,13 @@ def find_potential_wells(params: SquidParams, scales: DerivedScales = None,
     return wells
 
 
-def barrier_between(params, scales, x_left, x_right, constants=CODATA2018):
+def barrier_between(params, scales, x_left, x_right):
     """Maximum of the dimensionless potential between two positions."""
     xs = np.linspace(x_left, x_right, 2001)
-    u = potential_energy_scaled(xs, params, scales, constants)
+    u = potential_energy_scaled(xs, params, scales)
     i = int(np.argmax(u))
     res = minimize_scalar(
-        lambda x: -potential_energy_scaled(x, params, scales, constants),
+        lambda x: -potential_energy_scaled(x, params, scales),
         bounds=(xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]),
         method="bounded",
     )
@@ -153,12 +153,11 @@ def barrier_between(params, scales, x_left, x_right, constants=CODATA2018):
 
 
 def build_fock_hamiltonian(params: SquidParams, scales: DerivedScales = None,
-                           dim: int = DEFAULT_DIM, constants=CODATA2018):
+                           dim: int = DEFAULT_DIM):
     """Number-basis Hamiltonian in units of hbar*omega (real symmetric)."""
     if scales is None:
-        scales = derive_scales(params, constants)
-    h = number_operator(dim)
-    np.fill_diagonal(h, np.arange(dim) + 0.5)
+        scales = derive_scales(params)
+    h = np.diag(np.arange(dim) + 0.5)
     cos = cosine_operator(dim, scales.cosine_scale_k,
                           2.0 * np.pi * params.bias_flux)
     return h - scales.nu_over_omega * cos
@@ -169,67 +168,40 @@ class FluxGridHamiltonian:
     """Central-difference discretisation of the flux-basis Hamiltonian.
 
     Stored as the tridiagonal (diagonal, off_diagonal) in units of
-    hbar*omega on a uniform dimensionless grid x, with hard walls beyond
+    hbar*omega on a uniform dimensionless grid, with hard walls beyond
     the grid ends.
     """
 
-    x: np.ndarray
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    hbar_omega: float
-    dx: float = field(init=False)
-
-    def __post_init__(self):
-        self.dx = float(self.x[1] - self.x[0])
-
-    def to_dense(self):
-        n = len(self.diagonal)
-        h = np.zeros((n, n))
-        np.fill_diagonal(h, self.diagonal)
-        idx = np.arange(n - 1)
-        h[idx, idx + 1] = self.off_diagonal
-        h[idx + 1, idx] = self.off_diagonal
-        return h
-
-    def solve(self, count):
-        """Lowest `count` eigenvalues (hbar*omega) and grid eigenfunctions.
-
-        Eigenfunctions are normalised so that sum(|psi|^2)*dx = 1.
-        """
-        vals, vecs = eigh_tridiagonal(
-            self.diagonal, self.off_diagonal,
-            select="i", select_range=(0, count - 1),
-        )
-        return vals, vecs / np.sqrt(self.dx)
 
     def solve_values(self, count):
+        """Lowest `count` eigenvalues in units of hbar*omega."""
         return eigh_tridiagonal(
             self.diagonal, self.off_diagonal,
             select="i", select_range=(0, count - 1), eigvals_only=True,
         )
 
 
-def default_flux_grid(params: SquidParams, scales: DerivedScales = None,
-                      constants=CODATA2018, padding_quanta=3.0,
-                      num_points=500_001):
-    """Uniform dimensionless grid with walls `padding_quanta` flux quanta
-    beyond the outermost potential well."""
+def default_flux_grid(params: SquidParams, scales: DerivedScales = None):
+    """Uniform dimensionless grid of FLUX_GRID_POINTS points with walls
+    FLUX_GRID_PADDING_QUANTA flux quanta beyond the outermost potential
+    well."""
     if scales is None:
-        scales = derive_scales(params, constants)
-    wells = find_potential_wells(params, scales, constants)
+        scales = derive_scales(params)
+    wells = find_potential_wells(params, scales)
     period = scales.flux_quantum_in_x
     if wells:
         lo, hi = wells[0].position, wells[-1].position
     else:
         lo = hi = 0.0
-    return np.linspace(lo - padding_quanta * period,
-                       hi + padding_quanta * period, num_points)
+    return np.linspace(lo - FLUX_GRID_PADDING_QUANTA * period,
+                       hi + FLUX_GRID_PADDING_QUANTA * period, FLUX_GRID_POINTS)
 
 
 def build_flux_grid_hamiltonian(params: SquidParams, grid=None,
                                 scales: DerivedScales = None,
-                                constants=CODATA2018, frame="oscillator",
-                                min_points_per_oscillation=8):
+                                frame="oscillator"):
     """Independent finite-difference Hamiltonian on a uniform position grid.
 
     Parameters
@@ -245,27 +217,26 @@ def build_flux_grid_hamiltonian(params: SquidParams, grid=None,
     local de Broglie oscillation supported by the potential range on the grid.
     """
     if scales is None:
-        scales = derive_scales(params, constants)
+        scales = derive_scales(params)
     if grid is None:
-        grid = default_flux_grid(params, scales, constants)
+        grid = default_flux_grid(params, scales)
     grid = np.asarray(grid, dtype=float)
     dx = grid[1] - grid[0]
     if not np.allclose(np.diff(grid), dx, rtol=1e-9, atol=0.0):
         raise GridResolutionError("flux grid must be uniformly spaced")
 
-    u = potential_energy_scaled(grid, params, scales, constants, frame=frame)
+    u = potential_energy_scaled(grid, params, scales, frame=frame)
     p_max = np.sqrt(2.0 * max(float(u.max() - u.min()), 1.0))
-    if dx > 2.0 * np.pi / p_max / min_points_per_oscillation:
+    if dx > 2.0 * np.pi / p_max / MIN_POINTS_PER_OSCILLATION:
         raise GridResolutionError(
-            f"grid spacing {dx:.3g} exceeds 1/{min_points_per_oscillation} of the "
+            f"grid spacing {dx:.3g} exceeds 1/{MIN_POINTS_PER_OSCILLATION} of the "
             f"shortest local oscillation {2.0 * np.pi / p_max:.3g}"
         )
 
     kin = 1.0 / (2.0 * dx * dx)
     diagonal = u + 2.0 * kin
     off_diagonal = np.full(len(grid) - 1, -kin)
-    return FluxGridHamiltonian(grid, diagonal, off_diagonal,
-                               constants.hbar * scales.omega)
+    return FluxGridHamiltonian(diagonal, off_diagonal)
 
 
 def eigensolve(hamiltonian, count=None):
@@ -292,37 +263,36 @@ def eigensolve(hamiltonian, count=None):
 
 
 def spectrum_sweep(params: SquidParams, start, stop, step, levels=10,
-                   dim=DEFAULT_DIM, constants=CODATA2018):
+                   dim=DEFAULT_DIM):
     """Eigenvalues of the number-basis Hamiltonian over a bias-flux range."""
     if not step > 0.0:
         raise ParameterError(f"sweep step must be > 0, got {step}")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
     bias = start + step * np.arange(n)
-    scales = derive_scales(params, constants)
+    scales = derive_scales(params)
 
     def solve(phi):
-        h = build_fock_hamiltonian(params.with_bias(phi), scales, dim, constants)
+        h = build_fock_hamiltonian(params.with_bias(phi), scales, dim)
         return np.linalg.eigvalsh(h)[:levels]
 
     return FluxSweep(bias, np.array([solve(phi) for phi in bias]))
 
 
 def converge_dimension(params: SquidParams, levels=20, tol=1e-8,
-                       dim=DEFAULT_DIM, step=100, max_dim=1000,
-                       constants=CODATA2018):
+                       dim=DEFAULT_DIM, step=100, max_dim=1000):
     """Smallest basis size whose lowest `levels` eigenvalues are stable.
 
     Accepts `dim` once enlarging the basis by `step` moves none of the
     tracked eigenvalues by more than `tol` (in hbar*omega); raises
     ConvergenceError carrying the last two trial dimensions otherwise.
     """
-    scales = derive_scales(params, constants)
+    scales = derive_scales(params)
     current = np.linalg.eigvalsh(
-        build_fock_hamiltonian(params, scales, dim, constants))[:levels]
+        build_fock_hamiltonian(params, scales, dim))[:levels]
     shift = np.inf
     while dim + step <= max_dim:
         larger = np.linalg.eigvalsh(
-            build_fock_hamiltonian(params, scales, dim + step, constants))[:levels]
+            build_fock_hamiltonian(params, scales, dim + step))[:levels]
         shift = float(np.max(np.abs(larger - current)))
         if shift < tol:
             return dim, current

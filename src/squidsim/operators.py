@@ -16,10 +16,8 @@ __all__ = [
     "ladder_operators",
     "number_operator",
     "quadrature_operators",
-    "parity_operator",
     "cosine_operator",
     "sine_operator",
-    "displacement_operator",
     "hermiticity_defect",
 ]
 

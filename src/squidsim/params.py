@@ -32,8 +32,9 @@ __all__ = [
 class PhysicalConstants:
     """Fundamental constants in SI units.
 
-    The defaults are the 2018 CODATA exact values.  A custom set must stay
-    internally consistent: flux_quantum = pi*hbar/electron_charge.
+    The defaults are the 2018 CODATA exact values, and the package reads
+    its one instance, CODATA2018, directly.  The fields must stay
+    consistent: flux_quantum = pi*hbar/electron_charge.
     """
 
     hbar: float = 1.054571817e-34          # J s
@@ -90,25 +91,26 @@ class SquidParams:
 
     @classmethod
     def from_critical_current(cls, capacitance, inductance, critical_current,
-                              bias_flux=0.0, constants=CODATA2018):
+                              bias_flux=0.0):
         """Build parameters from a junction critical current Ic = 2*e*nu."""
         if critical_current < 0.0:
             raise ParameterError(
                 f"critical_current must be >= 0, got {critical_current}"
             )
-        nu = critical_current / (2.0 * constants.electron_charge)
-        return cls(capacitance, inductance, constants.hbar * nu, bias_flux)
+        nu = critical_current / (2.0 * CODATA2018.electron_charge)
+        return cls(capacitance, inductance, CODATA2018.hbar * nu, bias_flux)
 
     @classmethod
     def from_screening_ratio(cls, capacitance, inductance, ratio,
-                             bias_flux=0.0, constants=CODATA2018):
+                             bias_flux=0.0):
         """Build parameters with josephson_energy = ratio * flux_quantum**2 / inductance."""
-        energy = ratio * constants.flux_quantum**2 / inductance
+        energy = ratio * CODATA2018.flux_quantum**2 / inductance
         return cls(capacitance, inductance, energy, bias_flux)
 
-    def critical_current(self, constants=CODATA2018):
+    def critical_current(self):
         """Junction critical current Ic = 2*e*nu in ampere."""
-        return 2.0 * constants.electron_charge * self.josephson_energy / constants.hbar
+        return (2.0 * CODATA2018.electron_charge * self.josephson_energy
+                / CODATA2018.hbar)
 
     def with_bias(self, bias_flux):
         """Copy of these parameters at a different bias flux."""
@@ -140,7 +142,7 @@ class DerivedScales:
         return 2.0 * math.pi / (math.sqrt(2.0) * self.cosine_scale_k)
 
 
-def derive_scales(params: SquidParams, constants: PhysicalConstants = CODATA2018) -> DerivedScales:
+def derive_scales(params: SquidParams) -> DerivedScales:
     """Derive every dimensionless scale used by the rest of the system.
 
     Deterministic, pure; raises ParameterError through SquidParams validation
@@ -148,17 +150,17 @@ def derive_scales(params: SquidParams, constants: PhysicalConstants = CODATA2018
     """
     omega = 1.0 / math.sqrt(params.inductance * params.capacitance)
     c_omega = params.capacitance * omega
-    nu = params.josephson_energy / constants.hbar
-    k = (2.0 * math.pi / constants.flux_quantum) * math.sqrt(
-        constants.hbar / (2.0 * c_omega)
+    nu = params.josephson_energy / CODATA2018.hbar
+    k = (2.0 * math.pi / CODATA2018.flux_quantum) * math.sqrt(
+        CODATA2018.hbar / (2.0 * c_omega)
     )
     return DerivedScales(
         omega=omega,
         nu_over_omega=nu / omega,
         c_omega=c_omega,
         cosine_scale_k=k,
-        x_per_weber=math.sqrt(c_omega / constants.hbar),
-        p_per_coulomb=math.sqrt(1.0 / (constants.hbar * c_omega)),
+        x_per_weber=math.sqrt(c_omega / CODATA2018.hbar),
+        p_per_coulomb=math.sqrt(1.0 / (CODATA2018.hbar * c_omega)),
         lc_period=2.0 * math.pi / omega,
     )
 

@@ -30,7 +30,7 @@ from .dynamics import BathParams, bath_occupation, propagate
 from .errors import ConfigError, DegeneracyError, ParameterError
 from .hamiltonian import (build_fock_hamiltonian, eigensolve,
                           potential_energy_scaled, spectrum_sweep)
-from .params import CODATA2018, SquidParams, derive_scales
+from .params import SquidParams, derive_scales
 from .phase_space import (PhaseSpaceField, phase_space_diagnostics,
                           weyl_function, wigner_function)
 from .states import (classify_well_states, coherent_state, parity_pair,
@@ -304,8 +304,8 @@ class Dataset:
     metadata: dict
 
 
-def _metadata(spec, constants=CODATA2018, extra=None):
-    scales = derive_scales(spec.squid, constants)
+def _metadata(spec, extra=None):
+    scales = derive_scales(spec.squid)
     meta = {
         "scenario": spec.name,
         "version": __version__,
@@ -321,7 +321,7 @@ def _metadata(spec, constants=CODATA2018, extra=None):
     }
     if spec.bath is not None:
         bath = spec.bath.resolved(scales)
-        meta["bath_occupation"] = bath_occupation(bath, constants)
+        meta["bath_occupation"] = bath_occupation(bath)
         meta["bath_frequency_rad_s"] = bath.frequency
     if extra:
         meta.update(extra)
@@ -360,10 +360,10 @@ def _add_field(tables, fields_meta, name, field_obj, spec):
     fields_meta[name] = _field_descriptor(field_obj, spec)
 
 
-def _level_panel(x, ring, scales, spectral, levels, constants):
+def _level_panel(x, ring, scales, spectral, levels):
     """Columns x, potential and level k = |psi_k(x)|^2 + E_k, k < levels."""
     cols = ["x", "potential"]
-    data = [x, potential_energy_scaled(x, ring, scales, constants)]
+    data = [x, potential_energy_scaled(x, ring, scales)]
     for k in range(levels):
         psi = position_wavefunction(spectral.eigenvectors[:, k], x)
         cols.append(f"level{k}")
@@ -371,77 +371,82 @@ def _level_panel(x, ring, scales, spectral, levels, constants):
     return cols, np.column_stack(data)
 
 
-def _ring_hamiltonian(spec, constants):
+def _ring_hamiltonian(spec):
     """Derived scales and number-basis Hamiltonian of the spec's ring."""
-    scales = derive_scales(spec.squid, constants)
-    return scales, build_fock_hamiltonian(spec.squid, scales, spec.run.dim,
-                                          constants)
+    scales = derive_scales(spec.squid)
+    return scales, build_fock_hamiltonian(spec.squid, scales, spec.run.dim)
 
 
-def _superposition_states(spec, scales, h, constants):
+def _superposition_states(spec, scales, h):
     """(s, a) members used by the superposition scenarios."""
     spectral = eigensolve(h)
     i, j = spec.state.pair
     try:
-        return parity_pair(spectral, spec.squid, scales, indices=(i, j),
-                           constants=constants)
+        return parity_pair(spectral, spec.squid, scales, indices=(i, j))
     except (DegeneracyError, ParameterError):
         # asymmetric wells: keep the eigensolver's deterministic phases
         return (spectral.eigenvectors[:, i].astype(complex),
                 spectral.eigenvectors[:, j].astype(complex))
 
 
-def _resolve_state(spec, constants=CODATA2018):
+def _resolve_state(spec):
     """Scales, Hamiltonian and the state vector requested by spec.state."""
-    scales, h = _ring_hamiltonian(spec, constants)
+    scales, h = _ring_hamiltonian(spec)
     if spec.state.kind == "coherent":
         psi = coherent_state(spec.state.alpha, spec.run.dim)
     elif spec.state.kind == "eigenstate":
         spectral = eigensolve(h, count=spec.state.index + 1)
         psi = spectral.eigenvectors[:, spec.state.index].astype(complex)
     else:
-        s, a = _superposition_states(spec, scales, h, constants)
+        s, a = _superposition_states(spec, scales, h)
         psi = phase_superposition(s, a, spec.state.theta)
     return scales, h, psi
 
 
-def run_scenario(spec: ScenarioSpec, constants=CODATA2018) -> Dataset:
+def run_scenario(spec: ScenarioSpec) -> Dataset:
     """Execute a registered scenario and return its Dataset."""
-    tables, extra = _registered(spec.name)[1](spec, constants)
-    return Dataset(spec.name, tables, _metadata(spec, constants, extra))
+    tables, extra = _registered(spec.name)[1](spec)
+    return Dataset(spec.name, tables, _metadata(spec, extra))
 
 
-# A runner maps (spec, constants) to (tables, extra metadata).
+# A runner maps a spec to (tables, extra metadata).
 
-def _run_potential_wells(spec, constants):
+def _run_potential_wells(spec):
     tables = {}
     x = spec.grid.x_axis()
     for bias in (0.0, 0.49, 0.5):
         ring = spec.squid.with_bias(bias)
-        scales = derive_scales(ring, constants)
-        h = build_fock_hamiltonian(ring, scales, spec.run.dim, constants)
+        scales = derive_scales(ring)
+        h = build_fock_hamiltonian(ring, scales, spec.run.dim)
         spectral = eigensolve(h, count=spec.sweep.levels)
         tables[f"potential_wells_phix{bias:.2f}.csv"] = _level_panel(
-            x, ring, scales, spectral, spec.sweep.levels, constants)
+            x, ring, scales, spectral, spec.sweep.levels)
     return tables, {}
 
 
-def _run_level_sweep(spec, constants):
+def _run_level_sweep(spec):
     sweep = spectrum_sweep(spec.squid, spec.sweep.start, spec.sweep.stop,
                            spec.sweep.step, levels=spec.sweep.levels,
-                           dim=spec.run.dim, constants=constants)
+                           dim=spec.run.dim)
     cols = ["phi_x"] + [f"E{i}" for i in range(sweep.levels.shape[1])]
     tables = {"level_sweep.csv": (cols, np.column_stack([sweep.bias_values,
                                                          sweep.levels]))}
     return tables, {}
 
 
-def _run_cat_049(spec, constants):
-    _, _, psi = _resolve_state(spec, constants)
+def _run_cat_049(spec):
+    """Wigner field of the configured state as
+    `wigner_<label>_phix<bias>.csv`; the label is `cat` for a superposition,
+    `eigenstate<index>` or `coherent`."""
+    _, _, psi = _resolve_state(spec)
     fld = wigner_function(psi, spec.grid.x_axis(), spec.grid.p_axis())
     diag = phase_space_diagnostics(fld, psi)
+    state = spec.state
+    label = {"superposition": "cat", "eigenstate": f"eigenstate{state.index}",
+             "coherent": "coherent"}[state.kind]
     tables, fields_meta = {}, {}
-    _add_field(tables, fields_meta, "wigner_cat_phix0.49.csv", fld, spec)
+    _add_field(tables, fields_meta,
+               f"wigner_{label}_phix{spec.squid.bias_flux:.2f}.csv", fld, spec)
     return tables, {"wigner_normalization": diag.normalization,
                     "wigner_negativity_volume": diag.negativity_volume,
                     "fields": fields_meta}
@@ -457,19 +462,17 @@ def _theta_fields(tables, fields_meta, s, a, spec):
                    spec)
 
 
-def _run_cat_phase(spec, constants):
-    s, a = _superposition_states(spec, *_ring_hamiltonian(spec, constants),
-                                 constants)
+def _run_cat_phase(spec):
+    s, a = _superposition_states(spec, *_ring_hamiltonian(spec))
     tables, fields_meta = {}, {}
     _theta_fields(tables, fields_meta, s, a, spec)
     return tables, {"fields": fields_meta}
 
 
-def _run_friedman(spec, constants):
-    scales, h = _ring_hamiltonian(spec, constants)
+def _run_friedman(spec):
+    scales, h = _ring_hamiltonian(spec)
     spectral = eigensolve(h)
-    classification = classify_well_states(spectral, spec.squid, scales,
-                                          constants)
+    classification = classify_well_states(spectral, spec.squid, scales)
     pairs = classification.pairs()
     if not pairs:
         raise ParameterError("no near-degenerate pair found below the barrier")
@@ -483,7 +486,7 @@ def _run_friedman(spec, constants):
 
     levels = min(j + 3, spectral.eigenvalues.size)
     tables = {"potential_wells.csv": _level_panel(
-        spec.grid.x_axis(), spec.squid, scales, spectral, levels, constants)}
+        spec.grid.x_axis(), spec.squid, scales, spectral, levels)}
     fields_meta = {}
     _theta_fields(tables, fields_meta, spectral.eigenvectors[:, i],
                   spectral.eigenvectors[:, j], spec)
@@ -496,13 +499,12 @@ def _run_friedman(spec, constants):
     }
 
 
-def _propagate(spec, bath, scales, h, psi, snapshot_stride, constants):
+def _propagate(spec, bath, scales, h, psi, snapshot_stride):
     """Thermal-bath evolution of the pure state psi under spec.run."""
     return propagate(np.outer(psi, psi.conj()), h, bath, dtau=spec.run.dtau,
                      tau_max=spec.run.tau_max,
                      record_stride=spec.run.record_stride,
-                     snapshot_stride=snapshot_stride,
-                     scales=scales, constants=constants)
+                     snapshot_stride=snapshot_stride, scales=scales)
 
 
 def _propagation_health(traj):
@@ -513,13 +515,13 @@ def _propagation_health(traj):
             "min_snapshot_eigenvalue": traj.min_eigenvalue}
 
 
-def _run_decohere_cat(spec, constants):
-    scales, h, psi = _resolve_state(spec, constants)
+def _run_decohere_cat(spec):
+    scales, h, psi = _resolve_state(spec)
     stride = spec.run.snapshot_stride
     if stride is None:
         # default to ten field snapshots across the run
         stride = max(1, int(round(spec.run.tau_max / spec.run.dtau / 10)))
-    traj = _propagate(spec, spec.bath, scales, h, psi, stride, constants)
+    traj = _propagate(spec, spec.bath, scales, h, psi, stride)
     tables = {"trajectory.csv": (list(traj.COLUMNS), traj.as_table())}
     x, p = spec.grid.x_axis(), spec.grid.p_axis()
     fields_meta = {}
@@ -535,12 +537,12 @@ def _run_decohere_cat(spec, constants):
 SQUEEZE_DAMPINGS = (0.0, 0.001, 0.01, 0.1)
 
 
-def _run_squeeze(spec, constants):
-    scales, h, psi = _resolve_state(spec, constants)
+def _run_squeeze(spec):
+    scales, h, psi = _resolve_state(spec)
     tables, minima, health = {}, {}, {}
     for g in SQUEEZE_DAMPINGS:
         bath = dataclasses.replace(spec.bath, damping=g)
-        traj = _propagate(spec, bath, scales, h, psi, None, constants)
+        traj = _propagate(spec, bath, scales, h, psi, None)
         tables[f"trajectory_g{g:g}.csv"] = (list(traj.COLUMNS), traj.as_table())
         minima[f"{g:g}"] = float(np.min(traj.var_x))
         for key, value in _propagation_health(traj).items():
@@ -548,9 +550,9 @@ def _run_squeeze(spec, constants):
     return tables, {"min_var_x": minima, **health}
 
 
-def _run_eigenstates(spec, constants):
+def _run_eigenstates(spec):
     """One wavefunction CSV (x, re_psi, im_psi, density) per level."""
-    _, h = _ring_hamiltonian(spec, constants)
+    _, h = _ring_hamiltonian(spec)
     count = spec.sweep.levels
     spectral = eigensolve(h, count=count)
     x = spec.grid.x_axis()
@@ -563,10 +565,10 @@ def _run_eigenstates(spec, constants):
     return tables, {"eigenvalues": [float(v) for v in spectral.eigenvalues]}
 
 
-def _run_field(spec, constants):
+def _run_field(spec):
     """The configured state's Wigner or Weyl field (after the scenario
     name), as `<name>.csv`."""
-    _, _, psi = _resolve_state(spec, constants)
+    _, _, psi = _resolve_state(spec)
     field_fn = {"wigner": wigner_function, "weyl": weyl_function}[spec.name]
     fld = field_fn(psi, spec.grid.x_axis(), spec.grid.p_axis())
     tables, fields_meta = {}, {}
@@ -574,13 +576,13 @@ def _run_field(spec, constants):
     return tables, {"fields": fields_meta}
 
 
-def _run_evolve(spec, constants):
+def _run_evolve(spec):
     """Lindblad evolution of the configured state; optional rho snapshots."""
     if spec.bath is None:
         raise ConfigError("evolve needs bath.* settings")
-    scales, h, psi = _resolve_state(spec, constants)
+    scales, h, psi = _resolve_state(spec)
     traj = _propagate(spec, spec.bath, scales, h, psi,
-                      spec.run.snapshot_stride, constants)
+                      spec.run.snapshot_stride)
     tables = {"trajectory.csv": (list(traj.COLUMNS), traj.as_table())}
     for tau, rho in zip(traj.snapshot_times, traj.snapshots):
         idx = [f"n{k}" for k in range(rho.shape[0])]

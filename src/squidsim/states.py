@@ -16,7 +16,7 @@ from .errors import DegeneracyError, ParameterError, TruncationError
 from .hamiltonian import (SpectralResult, barrier_between, find_potential_wells,
                           potential_energy_scaled)
 from .operators import quadrature_operators
-from .params import CODATA2018, derive_scales
+from .params import derive_scales
 
 __all__ = [
     "hermite_functions",
@@ -29,6 +29,10 @@ __all__ = [
     "WellClassification",
     "classify_well_states",
 ]
+
+# tunnelling-doublet thresholds of classify_well_states
+PAIR_GAP_RATIO = 0.5
+MIXING_FLOOR = 0.05
 
 
 def hermite_functions(n_max, x):
@@ -111,7 +115,7 @@ def phase_superposition(psi1, psi2, theta):
 
 
 def parity_pair(spectral: SpectralResult, params, scales=None,
-                indices=(0, 1), constants=CODATA2018):
+                indices=(0, 1)):
     """Symmetric/antisymmetric pair from two near-degenerate eigenstates.
 
     Returns (s, a) where s is the even-parity member.  Both signs are fixed
@@ -119,8 +123,8 @@ def parity_pair(spectral: SpectralResult, params, scales=None,
     (s + a)/sqrt(2) localises in the left well.
     """
     if scales is None:
-        scales = derive_scales(params, constants)
-    wells = find_potential_wells(params, scales, constants)
+        scales = derive_scales(params)
+    wells = find_potential_wells(params, scales)
     if len(wells) < 2:
         raise ParameterError("parity pair needs a potential with >= 2 wells")
     x_left = wells[0].position
@@ -184,15 +188,13 @@ class WellClassification:
         return out
 
 
-def classify_well_states(spectral: SpectralResult, params, scales=None,
-                         constants=CODATA2018, pair_gap_ratio=0.5,
-                         mixing_floor=0.05):
+def classify_well_states(spectral: SpectralResult, params, scales=None):
     """Assign (well, level ordinal) labels to eigenstates below the barriers.
 
     Two adjacent states form a tunnelling doublet when their gap is small
-    against the bracketing level spacings (ratio `pair_gap_ratio`) and both
-    carry probability mass on the two sides of an inter-well barrier (at
-    least `mixing_floor` on the minority side).  That detects s/a pairs at
+    against the bracketing level spacings (ratio PAIR_GAP_RATIO) and both
+    carry probability mass on the two sides of an inter-well barrier (more
+    than MIXING_FLOOR on the minority side).  That detects s/a pairs at
     exact resonance and partially mixed doublets between wells of unequal
     depth alike.  Pair roles come from the reflection symmetry about the
     midpoint of the two wells, falling back to energy order (the bonding,
@@ -200,13 +202,12 @@ def classify_well_states(spectral: SpectralResult, params, scales=None,
     every barrier are labelled "delocalized".
     """
     if scales is None:
-        scales = derive_scales(params, constants)
-    wells = find_potential_wells(params, scales, constants)
+        scales = derive_scales(params)
+    wells = find_potential_wells(params, scales)
     if not wells:
         raise ParameterError("potential has no local minimum in the scanned region")
     barriers = [
-        barrier_between(params, scales, wells[i].position, wells[i + 1].position,
-                        constants)
+        barrier_between(params, scales, wells[i].position, wells[i + 1].position)
         for i in range(len(wells) - 1)
     ]
     top = max((b[1] for b in barriers), default=-np.inf)
@@ -242,14 +243,14 @@ def classify_well_states(spectral: SpectralResult, params, scales=None,
             brackets.append(energies[j] - energies[j - 1])
         if j + 2 < len(energies):
             brackets.append(energies[j + 2] - energies[j + 1])
-        if not brackets or gap >= pair_gap_ratio * max(brackets):
+        if not brackets or gap >= PAIR_GAP_RATIO * max(brackets):
             return None
         best = None
         for b_idx, (x_barrier, _) in enumerate(barriers):
             mixing = min(
                 min(m, 1.0 - m)
                 for m in (left_mass(j, x_barrier), left_mass(j + 1, x_barrier)))
-            if mixing > mixing_floor and (best is None or mixing > best[0]):
+            if mixing > MIXING_FLOOR and (best is None or mixing > best[0]):
                 best = (mixing, b_idx)
         if best is None:
             return None

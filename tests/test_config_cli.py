@@ -420,6 +420,17 @@ def test_every_registered_scenario_runs_from_the_cli(tmp_path, name):
     assert meta["scenario"] == name
     assert meta["config"]["scenario.name"] == name
 
+    # the metadata's config echo reproduces every file bit for bit
+    echo = tmp_path / "echo.cfg"
+    echo.write_text(format_config(meta["config"]))
+    again = tmp_path / "again"
+    assert cli_main(["scenario", name, "--config", str(echo),
+                     "--out", str(again)]) == 0
+    assert sorted(os.listdir(again)) == sorted(os.listdir(out))
+    for filename in os.listdir(out):
+        assert ((again / filename).read_bytes()
+                == (out / filename).read_bytes()), filename
+
 
 def test_spectrum_json_bundle_is_named_after_the_command(tmp_path):
     code = cli_main(["spectrum", "--dim", "60", "--format", "json-bundle",
@@ -451,8 +462,22 @@ def test_cat_049_draws_the_configured_state(tmp_path):
     for cmd in (["scenario", "cat-049"], ["wigner"]):
         assert cli_main([*cmd, "--dim", "100", "--config", str(cfg),
                          "--out", str(tmp_path / cmd[-1])]) == 0
-    cat = (tmp_path / "cat-049" / "wigner_cat_phix0.49.csv").read_bytes()
+    cat = (tmp_path / "cat-049" / "wigner_eigenstate1_phix0.49.csv").read_bytes()
     assert cat == (tmp_path / "wigner" / "wigner.csv").read_bytes()
+
+
+@pytest.mark.parametrize("overrides, table", [
+    ({}, "wigner_cat_phix0.49.csv"),
+    ({"state.kind": "eigenstate", "state.index": "2"},
+     "wigner_eigenstate2_phix0.49.csv"),
+    ({"state.kind": "coherent", "squid.bias_flux_phi0": "0.3"},
+     "wigner_coherent_phix0.30.csv"),
+])
+def test_cat_049_names_its_table_after_the_state_and_bias(overrides, table):
+    spec = sq.builtin_scenario("cat-049", {
+        "run.dim": "60", "grid.x_points": "9", "grid.p_points": "9",
+        **overrides})
+    assert list(sq.run_scenario(spec).tables) == [table]
 
 
 def test_decohere_cat_starts_from_the_configured_eigenstate():

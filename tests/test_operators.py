@@ -6,6 +6,7 @@ from scipy.special import roots_hermite
 
 import squidsim as sq
 from squidsim import ParameterError
+from squidsim.operators import displacement_operator, parity_operator
 
 
 def test_annihilation_dim2():
@@ -116,7 +117,7 @@ def test_cos_squared_plus_sin_squared():
 def test_cosine_commutes_with_parity_at_zero_phase():
     dim = 64
     c = sq.cosine_operator(dim, 0.345)
-    par = sq.parity_operator(dim)
+    par = parity_operator(dim)
     assert np.max(np.abs(c @ par - par @ c)) < 1e-10
 
 
@@ -129,7 +130,7 @@ def test_negative_scale_rejected():
 
 def test_displacement_reproduces_coherent_state():
     dim, alpha = 120, 0.8 + 0.6j
-    d = sq.displacement_operator(dim, alpha)
+    d = displacement_operator(dim, alpha)
     assert np.max(np.abs(d @ d.conj().T - np.eye(dim))) < 1e-10
     vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0

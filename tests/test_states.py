@@ -5,6 +5,7 @@ import pytest
 
 import squidsim as sq
 from squidsim import DegeneracyError, ParameterError, TruncationError
+from squidsim.operators import parity_operator
 from conftest import expectation
 
 
@@ -112,7 +113,7 @@ def test_cat_localization_vs_phase(spectral_05, quadratures_400):
 def test_parity_pair_members_are_parity_eigenstates(spectral_05):
     ring, scales, h, res = spectral_05
     s, a = sq.parity_pair(res, ring, scales)
-    par = sq.parity_operator(400)
+    par = parity_operator(400)
     assert expectation(par, s).real == pytest.approx(1.0, abs=1e-10)
     assert expectation(par, a).real == pytest.approx(-1.0, abs=1e-10)
 
