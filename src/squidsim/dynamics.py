@@ -251,11 +251,13 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
     # predicted population above each level: what starts there plus what the
     # jumps send there over the whole run.  (|Ã| sqrt(p))_i^2 bounds the
     # a-jump rate diag(Ã rho Æ)_i for every rho with populations p, so the
-    # bound holds however the coherences dephase.
+    # bound holds however the coherences dephase.  The diagonal carries
+    # roundoff of either sign; a negative entry must not cancel real weight
+    # above it, so populations count by magnitude.
     start = np.diagonal(rho_full).real
     amp, root = np.abs(a_full), np.sqrt(np.maximum(start, 0.0))
-    weight = start + tau_max * (down * (amp @ root) ** 2
-                                + up * (amp.T @ root) ** 2)
+    weight = np.abs(start) + tau_max * (down * (amp @ root) ** 2
+                                        + up * (amp.T @ root) ** 2)
     above = np.append(np.cumsum(weight[::-1])[::-1], 0.0)
     k = 1 + int(np.argmax(above[1:] <= LEAK_TOLERANCE))
 
@@ -286,7 +288,7 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
     moment_ops = [op.T for op in (a, v.conj().T @ _lower(_lower(v)),
                                   v.conj().T @ (np.arange(len(v))[:, None] * v))]
     rho = rho_full[:k, :k].copy()
-    leaked = float(np.sum(start[k:]))
+    leaked = float(np.sum(np.abs(start[k:])))
     records, snapshot_times, snapshots = [], [], []
     lowest = {}     # step -> lowest eigenvalue of rho, at snapshots and the end
     max_correction = 0.0

@@ -1,10 +1,15 @@
 """Operator algebra in the truncated number basis.
 
 All operators are plain dense ndarrays of shape (dim, dim).  Ladder and
-quadrature operators are real; the cosine operator is built by spectral
-decomposition of a + a_dagger, which is exact on the truncated space and
-stays bounded even where a Taylor expansion of the cosine would be useless.
+quadrature operators are real; the cosine and sine operators are built by
+spectral decomposition of a + a_dagger, which is exact on the truncated
+space and stays bounded even where a Taylor expansion of the cosine would be
+useless.  That decomposition is bias independent, so it is done once per
+(dim, k) and a phase offset costs two scaled matrix additions.
 """
+
+import functools
+import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
@@ -20,6 +25,10 @@ __all__ = [
     "sine_operator",
     "hermiticity_defect",
 ]
+
+# (dim, k) pairs of cos/sin(k(a+a†)) kept; each holds 2*dim^2 doubles
+# (2.4 MiB at dim 400)
+COS_SIN_CACHE_SIZE = 8
 
 
 def _check_dim(dim):
@@ -69,6 +78,28 @@ def _sum_quadrature_eigensystem(dim):
     return eigh_tridiagonal(np.zeros(dim), off)
 
 
+@functools.lru_cache(maxsize=COS_SIN_CACHE_SIZE)
+def _cos_sin_pair(dim, k):
+    """Read-only (cos(k(a+a†)), sin(k(a+a†))), built once per (dim, k)."""
+    nodes, vecs = _sum_quadrature_eigensystem(dim)
+    pair = []
+    for f in (np.cos, np.sin):
+        op = (vecs * f(k * nodes)) @ vecs.T
+        op = 0.5 * (op + op.T)
+        op.flags.writeable = False
+        pair.append(op)
+    return tuple(pair)
+
+
+def _checked_pair(dim, k, phase):
+    dim = _check_dim(dim)
+    if not 0.0 <= k < math.inf:
+        raise ParameterError(f"operator scale must be finite and >= 0, got {k}")
+    if not math.isfinite(phase):
+        raise ParameterError(f"operator phase must be finite, got {phase}")
+    return _cos_sin_pair(dim, float(k))
+
+
 def cosine_operator(dim, k, phase=0.0):
     """cos(k*(a + a†) + phase), exact on the truncated space.
 
@@ -77,30 +108,25 @@ def cosine_operator(dim, k, phase=0.0):
     dim : int
         Basis size, >= 2.
     k : float
-        Scale multiplying a + a†; must be >= 0.
+        Scale multiplying a + a†; must be finite and >= 0.
     phase : float
-        Constant offset inside the cosine, in radians.
+        Constant offset inside the cosine, in radians; must be finite.
 
-    The operator is computed by diagonalising a + a†, applying the cosine to
-    its eigenvalues and rotating back, so every eigenvalue of the result
-    lies in [-1, 1] regardless of k.
+    cos(k(a+a†)) and sin(k(a+a†)) are computed once per (dim, k) by
+    diagonalising a + a†, applying the function to its eigenvalues and
+    rotating back, so every eigenvalue lies in [-1, 1] regardless of k.
+    The phase then enters through cos(kX + phase) = cos(phase) cos(kX) -
+    sin(phase) sin(kX); at phase 0 the result equals cos(kX) bit for bit.
+    Returns a new array on every call.
     """
-    dim = _check_dim(dim)
-    if k < 0.0:
-        raise ParameterError(f"cosine scale must be >= 0, got {k}")
-    nodes, vecs = _sum_quadrature_eigensystem(dim)
-    op = (vecs * np.cos(k * nodes + phase)) @ vecs.T
-    return 0.5 * (op + op.T)
+    c, s = _checked_pair(dim, k, phase)
+    return math.cos(phase) * c - math.sin(phase) * s
 
 
 def sine_operator(dim, k, phase=0.0):
-    """sin(k*(a + a†) + phase) via the same spectral route as the cosine."""
-    dim = _check_dim(dim)
-    if k < 0.0:
-        raise ParameterError(f"sine scale must be >= 0, got {k}")
-    nodes, vecs = _sum_quadrature_eigensystem(dim)
-    op = (vecs * np.sin(k * nodes + phase)) @ vecs.T
-    return 0.5 * (op + op.T)
+    """sin(k*(a + a†) + phase) from the same cached pair as the cosine."""
+    c, s = _checked_pair(dim, k, phase)
+    return math.sin(phase) * c + math.cos(phase) * s
 
 
 def displacement_operator(dim, alpha):

@@ -330,6 +330,35 @@ def test_truncated_eigenbasis_matches_oracle(make):
         assert np.max(np.abs(got - ref)) <= 1e-10
 
 
+def _ln2_bath(damping):
+    """Bath at the ln 2 point, where the occupation M is exactly 1."""
+    omega_b = 5.0e11
+    temp = CODATA2018.hbar * omega_b / (CODATA2018.boltzmann * math.log(2.0))
+    return BathParams(temperature=temp, damping=damping, frequency=omega_b)
+
+
+@pytest.mark.parametrize("populations, damping, real_level", [
+    # 5e-19 sits on level 3 from the start
+    ({3: 5e-19, 4: -1e-18}, 0.0, 3),
+    # up-jumps send g*M*tau_max = 1e-19 from the ground state to level 1
+    ({2: -1e-18}, 1e-18, 1),
+])
+def test_negative_roundoff_does_not_cancel_real_weight(populations, damping,
+                                                       real_level):
+    # H = diag(n + 1/2) has the identity as its eigenvectors, so the
+    # energy-basis diagonal of rho0 is exactly the one set here; the
+    # negative entries stand for roundoff of an eigenbasis rotation
+    dim = 8
+    h = np.diag(np.arange(dim) + 0.5)
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    for level, value in populations.items():
+        rho0[level, level] = value
+    traj = sq.propagate(rho0, h, _ln2_bath(damping), dtau=0.005, tau_max=0.1)
+    assert traj.energy_levels_kept > real_level
+    assert abs(traj.leaked_population) <= sq.dynamics.LEAK_TOLERANCE
+
+
 def test_propagate_state_matches_looped_rk4():
     ring = sq.standard_ring(0.49)
     scales = sq.derive_scales(ring)

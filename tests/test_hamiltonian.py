@@ -192,6 +192,20 @@ def test_sweep_minimum_gap_at_half_quantum():
     assert sweep.bias_values[np.argmin(gaps)] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_sweep_matches_directly_built_hamiltonians():
+    dim, levels = 150, 8
+    ring = sq.standard_ring()
+    scales = sq.derive_scales(ring)
+    sweep = sq.spectrum_sweep(ring, 0.0, 1.0, 0.1, levels=levels, dim=dim)
+    a, adag = sq.ladder_operators(dim)
+    nodes, vecs = np.linalg.eigh(a + adag)
+    for phi, got in zip(sweep.bias_values, sweep.levels, strict=True):
+        cos = (vecs * np.cos(scales.cosine_scale_k * nodes
+                             + 2.0 * np.pi * phi)) @ vecs.T
+        h = np.diag(np.arange(dim) + 0.5) - scales.nu_over_omega * cos
+        assert np.max(np.abs(got - np.linalg.eigvalsh(h)[:levels])) < 1e-12
+
+
 def test_sweep_step_validation():
     for step in (0.0, -0.1, math.nan):
         with pytest.raises(ParameterError):

@@ -6,7 +6,8 @@ from scipy.special import roots_hermite
 
 import squidsim as sq
 from squidsim import ParameterError
-from squidsim.operators import displacement_operator, parity_operator
+from squidsim.operators import (_cos_sin_pair, displacement_operator,
+                                parity_operator)
 
 
 def test_annihilation_dim2():
@@ -126,6 +127,55 @@ def test_negative_scale_rejected():
         sq.cosine_operator(16, -0.1)
     with pytest.raises(ParameterError):
         sq.sine_operator(16, -0.1)
+
+
+@pytest.mark.parametrize("make", [sq.cosine_operator, sq.sine_operator])
+@pytest.mark.parametrize("k, phase", [
+    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+    (0.3, math.nan), (0.3, math.inf), (0.3, -math.inf),
+])
+def test_non_finite_scale_or_phase_rejected(make, k, phase):
+    with pytest.raises(ParameterError):
+        make(16, k, phase)
+
+
+def _direct(f, dim, k, phase):
+    # independent route: dense eigh of a + a†, f applied to k*nodes + phase
+    a, adag = sq.ladder_operators(dim)
+    nodes, vecs = np.linalg.eigh(a + adag)
+    return (vecs * f(k * nodes + phase)) @ vecs.T
+
+
+@pytest.mark.parametrize("phase", [0.0, 2.0 * math.pi * 0.49, math.pi,
+                                   2.0 * math.pi * 0.5])
+def test_cached_pair_matches_direct_route(standard_scales, phase):
+    dim, k = 120, standard_scales.cosine_scale_k
+    assert np.max(np.abs(sq.cosine_operator(dim, k, phase)
+                         - _direct(np.cos, dim, k, phase))) < 1e-12
+    assert np.max(np.abs(sq.sine_operator(dim, k, phase)
+                         - _direct(np.sin, dim, k, phase))) < 1e-12
+
+
+def test_zero_phase_is_the_cached_pair_bit_for_bit():
+    c, s = _cos_sin_pair(64, 0.345)
+    assert np.array_equal(sq.cosine_operator(64, 0.345), c)
+    assert np.array_equal(sq.sine_operator(64, 0.345), s)
+    assert not c.flags.writeable and not s.flags.writeable
+
+
+def test_returned_operators_do_not_alias_the_cache(standard_scales):
+    def build():
+        return [sq.cosine_operator(48, 0.345), sq.cosine_operator(48, 0.345, 0.7),
+                sq.sine_operator(48, 0.345, 0.7),
+                sq.build_fock_hamiltonian(sq.standard_ring(), standard_scales, 48),
+                sq.build_fock_hamiltonian(sq.standard_ring(0.49),
+                                          standard_scales, 48)]
+
+    before = build()
+    for op in build():
+        op += 1.0
+    for old, new in zip(before, build(), strict=True):
+        assert np.array_equal(old, new)
 
 
 def test_displacement_reproduces_coherent_state():
