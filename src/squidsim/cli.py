@@ -8,17 +8,8 @@ the package applies it on import, before numpy is loaded.
 """
 
 import argparse
-import os
 import sys
 import warnings
-
-
-def _apply_thread_override():
-    threads = os.environ.get("SQUIDSIM_THREADS")
-    if threads:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
 
 def _build_parser():

@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 FLOAT_FMT = "%.12g"
+# rows formatted per write: the per-block overhead is negligible, and a
+# block's text stays well under a megabyte
+CSV_BLOCK_ROWS = 4096
 STATE_KINDS = ("eigenstate", "coherent", "superposition")
 
 
@@ -362,13 +365,11 @@ def _add_field(tables, fields_meta, name, field_obj, spec):
 
 def _level_panel(x, ring, scales, spectral, levels):
     """Columns x, potential and level k = |psi_k(x)|^2 + E_k, k < levels."""
-    cols = ["x", "potential"]
-    data = [x, potential_energy_scaled(x, ring, scales)]
-    for k in range(levels):
-        psi = position_wavefunction(spectral.eigenvectors[:, k], x)
-        cols.append(f"level{k}")
-        data.append(np.abs(psi) ** 2 + spectral.eigenvalues[k])
-    return cols, np.column_stack(data)
+    psi = position_wavefunction(spectral.eigenvectors[:, :levels], x)
+    cols = ["x", "potential"] + [f"level{k}" for k in range(levels)]
+    return cols, np.column_stack([
+        x, potential_energy_scaled(x, ring, scales),
+        np.abs(psi) ** 2 + spectral.eigenvalues[:levels]])
 
 
 def _ring_hamiltonian(spec):
@@ -556,12 +557,13 @@ def _run_eigenstates(spec):
     count = spec.sweep.levels
     spectral = eigensolve(h, count=count)
     x = spec.grid.x_axis()
+    psi = position_wavefunction(spectral.eigenvectors, x)
     tables = {}
     for k in range(count):
-        psi = position_wavefunction(spectral.eigenvectors[:, k], x)
         tables[f"eigenstate_{k}.csv"] = (
             ["x", "re_psi", "im_psi", "density"],
-            np.column_stack([x, psi.real, psi.imag, np.abs(psi) ** 2]))
+            np.column_stack([x, psi[:, k].real, psi[:, k].imag,
+                             np.abs(psi[:, k]) ** 2]))
     return tables, {"eigenvalues": [float(v) for v in spectral.eigenvalues]}
 
 
@@ -623,13 +625,15 @@ SCENARIOS = dict([
 ])
 
 
-def _write_atomic(path, text):
+def _write_atomic(path, chunks):
+    """Write the strings of `chunks` to `path` through a temporary file, so
+    a failure part-way leaves neither the file nor the temporary behind."""
     directory = os.path.dirname(path) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -639,12 +643,15 @@ def _write_atomic(path, text):
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv_text(columns, rows):
-    lines = [",".join(columns)]
+def _csv_chunks(columns, rows):
+    """A table's CSV text: the header line, then one string per block of
+    CSV_BLOCK_ROWS rows, each formatted by a single `%` operation."""
+    yield ",".join(columns) + "\n"
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    for row in rows:
-        lines.append(",".join(FLOAT_FMT % v for v in row))
-    return "\n".join(lines) + "\n"
+    row_fmt = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+    for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+        block = rows[start:start + CSV_BLOCK_ROWS]
+        yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
 
 
 def emit_dataset(dataset: Dataset, out_dir, fmt="csv"):
@@ -653,21 +660,24 @@ def emit_dataset(dataset: Dataset, out_dir, fmt="csv"):
     fmt="csv" writes one CSV per table plus metadata.json; fmt="json-bundle"
     writes a single JSON document embedding tables and metadata.
     """
+    if fmt not in ("csv", "json-bundle"):
+        raise ConfigError(f"unknown emit format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if fmt == "csv":
         for filename, (columns, rows) in dataset.tables.items():
             path = os.path.join(out_dir, filename)
-            _write_atomic(path, _csv_text(columns, rows))
+            _write_atomic(path, _csv_chunks(columns, rows))
             written.append(path)
         meta_path = os.path.join(out_dir, "metadata.json")
         meta = dict(dataset.metadata)
         meta["tables"] = {
             name: {"columns": list(cols), "rows": int(np.atleast_2d(rows).shape[0])}
             for name, (cols, rows) in dataset.tables.items()}
-        _write_atomic(meta_path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        _write_atomic(meta_path,
+                      [json.dumps(meta, sort_keys=True, indent=2) + "\n"])
         written.append(meta_path)
-    elif fmt == "json-bundle":
+    else:
         bundle = {
             "metadata": dataset.metadata,
             "tables": {
@@ -676,8 +686,6 @@ def emit_dataset(dataset: Dataset, out_dir, fmt="csv"):
                 for name, (cols, rows) in dataset.tables.items()},
         }
         path = os.path.join(out_dir, f"{dataset.name}.json")
-        _write_atomic(path, json.dumps(bundle, sort_keys=True, indent=2) + "\n")
+        _write_atomic(path, [json.dumps(bundle, sort_keys=True, indent=2) + "\n"])
         written.append(path)
-    else:
-        raise ConfigError(f"unknown emit format {fmt!r}")
     return written

@@ -63,18 +63,33 @@ def _as_state(psi):
 def position_wavefunction(psi, x):
     """Evaluate psi(x) = sum_n c_n phi_n(x) on a grid of dimensionless positions.
 
-    Warns when the grid reaches beyond the classical turning point of the
-    highest basis state, where the truncated basis cannot represent anything.
+    psi is one amplitude vector, giving shape (len(x),), or a (dim, k)
+    matrix of k states, giving shape (len(x), k) from one table of basis
+    functions.  Warns when the grid reaches beyond the classical turning
+    point of the highest basis state, where the truncated basis cannot
+    represent anything.
     """
-    psi = np.asarray(psi, dtype=complex).ravel()
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 2:
+        psi = psi.ravel()
     x = np.asarray(x, dtype=float)
-    support = np.sqrt(2.0 * (len(psi) - 1) + 1.0)
+    dim = psi.shape[0]
+    support = np.sqrt(2.0 * (dim - 1) + 1.0)
     if np.max(np.abs(x)) > support:
         warnings.warn(
             f"grid reaches |x| = {np.max(np.abs(x)):.3g}, beyond the "
             f"truncation-supported region |x| <= {support:.3g}",
             stacklevel=2)
-    return hermite_functions(len(psi) - 1, x) @ psi
+    table = hermite_functions(dim - 1, x)
+    if psi.ndim == 1:
+        return table @ psi
+    # one product per column rounds exactly as the vector form does; a
+    # single matrix product would not
+    table = table.astype(complex)
+    out = np.empty((table.shape[0], psi.shape[1]), dtype=complex)
+    for k in range(psi.shape[1]):
+        out[:, k] = table @ psi[:, k]
+    return out
 
 
 def fock_state(n, dim):
@@ -224,12 +239,12 @@ def classify_well_states(spectral: SpectralResult, params, scales=None):
     reach = np.sqrt(2.0 * (dim - 1) + 1.0)
     mass_grid = np.linspace(-reach, reach, 3001)
     mass_dx = mass_grid[1] - mass_grid[0]
-    densities: dict = {}
+    # only levels below the barrier top can form a doublet
+    below = np.flatnonzero(energies < top)
+    psi = position_wavefunction(spectral.eigenvectors[:, below], mass_grid)
+    densities = dict(zip(below, (np.abs(psi) ** 2).T))
 
     def left_mass(idx, x_barrier):
-        if idx not in densities:
-            psi = position_wavefunction(spectral.eigenvectors[:, idx], mass_grid)
-            densities[idx] = np.abs(psi) ** 2
         dens = densities[idx]
         total = float(np.sum(dens) * mass_dx)
         left = float(np.sum(dens[mass_grid < x_barrier]) * mass_dx)
@@ -299,10 +314,9 @@ def _pair_roles(spectral, indices, midpoint):
     half = np.sqrt(2.0 * (dim - 1) + 1.0) / np.sqrt(2.0)
     x = np.linspace(midpoint - half, midpoint + half, 2048)
     dx = x[1] - x[0]
-    overlaps = []
-    for idx in indices:
-        psi = position_wavefunction(spectral.eigenvectors[:, idx], x)
-        overlaps.append(float(np.sum(np.conj(psi[::-1]) * psi).real * dx))
+    psi = position_wavefunction(spectral.eigenvectors[:, list(indices)], x)
+    overlaps = [float(np.sum(np.conj(col[::-1]) * col).real * dx)
+                for col in psi.T]
     if min(abs(o) for o in overlaps) > 0.1 and overlaps[0] * overlaps[1] < 0.0:
         return tuple("s" if o > 0.0 else "a" for o in overlaps)
     lower_first = spectral.eigenvalues[indices[0]] <= spectral.eigenvalues[indices[1]]

@@ -332,7 +332,7 @@ def test_cli_wigner_weyl_and_evolve(tmp_path):
 
 
 def test_thread_override_sets_environment(monkeypatch):
-    from squidsim.cli import _apply_thread_override
+    from squidsim import _apply_thread_override
     monkeypatch.setenv("SQUIDSIM_THREADS", "1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
@@ -368,6 +368,20 @@ def test_thread_override_precedes_numpy_import():
                          capture_output=True, text=True, check=True,
                          timeout=120)
     assert out.stdout.strip() == "['1']"
+
+
+def test_module_entry_point_runs_without_warning():
+    # the package must not import squidsim.cli before `-m` executes it
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(sq.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "squidsim.cli",
+         "--help"], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0
+    assert out.stderr == ""
+    assert out.stdout.startswith("usage: squidsim")
 
 
 def test_cli_reports_library_warnings_as_one_line(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,32 @@ def test_wavefunction_normalization_and_variance(spectral_049):
 def test_wavefunction_grid_support_warning():
     with pytest.warns(UserWarning):
         sq.position_wavefunction(sq.fock_state(0, 8), np.linspace(-30, 30, 11))
+
+
+@pytest.mark.parametrize("points, half_width", [(257, 16.0),
+                                                 (3001, math.sqrt(799.0))])
+def test_matrix_form_equals_vector_calls(spectral_049, points, half_width):
+    ring, scales, h, res = spectral_049
+    block = res.eigenvectors[:, :12]
+    x = np.linspace(-half_width, half_width, points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        many = sq.position_wavefunction(block, x)
+        singles = [sq.position_wavefunction(block[:, k], x) for k in range(12)]
+    assert many.shape == (points, 12)
+    for k, single in enumerate(singles):
+        assert single.shape == (points,)
+        assert np.array_equal(many[:, k], single)
+
+
+def test_matrix_form_warns_once_beyond_support():
+    block = np.eye(8, 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        psi = sq.position_wavefunction(block, np.linspace(-30, 30, 11))
+    assert psi.shape == (11, 3)
+    assert len(caught) == 1
+    assert "truncation-supported region" in str(caught[0].message)
 
 
 def test_coherent_vacuum_limit():
@@ -180,6 +207,45 @@ def test_friedman_marked_pair_ordinals():
     best = pairs[0]
     assert (best.state_index, best.partner) in {(12, 13), (13, 12)}
     assert dict(best.ordinals) == {0: 3, 1: 9}
+
+
+# (kind, role, partner, well_index, level_ordinal) of every label below the
+# barrier top at dim 400, recorded before classify_well_states evaluated all
+# levels in one call; every higher level is "delocalized"
+_LOC = "localized"
+FRIEDMAN_LABELS = [
+    (_LOC, "", -1, 1, 0), (_LOC, "", -1, 1, 1), (_LOC, "", -1, 1, 2),
+    (_LOC, "", -1, 1, 3), (_LOC, "", -1, 1, 4), (_LOC, "", -1, 1, 5),
+    (_LOC, "", -1, 1, 6), (_LOC, "", -1, 0, 0), (_LOC, "", -1, 1, 7),
+    (_LOC, "", -1, 0, 1), (_LOC, "", -1, 1, 8), (_LOC, "", -1, 0, 2),
+    ("pair", "s", 13, -1, -1), ("pair", "a", 12, -1, -1),
+]
+STANDARD_049_LABELS = [
+    (_LOC, "", -1, 0, 0), (_LOC, "", -1, 1, 0), (_LOC, "", -1, 0, 1),
+    (_LOC, "", -1, 1, 1), (_LOC, "", -1, 0, 2),
+]
+STANDARD_05_LABELS = [
+    ("pair", "s", 1, -1, -1), ("pair", "a", 0, -1, -1),
+    ("pair", "s", 3, -1, -1), ("pair", "a", 2, -1, -1),
+    ("pair", "s", 5, -1, -1), ("pair", "a", 4, -1, -1),
+]
+
+
+@pytest.mark.parametrize("ring, expected", [
+    (sq.friedman_ring(), FRIEDMAN_LABELS),
+    (sq.standard_ring(), []),
+    (sq.standard_ring(0.49), STANDARD_049_LABELS),
+    (sq.standard_ring(0.5), STANDARD_05_LABELS),
+], ids=["friedman", "standard", "standard-0.49", "standard-0.5"])
+def test_classification_labels_are_unchanged(ring, expected):
+    scales = sq.derive_scales(ring)
+    res = sq.eigensolve(sq.build_fock_hamiltonian(ring, scales, 400))
+    labels = [(l.kind, l.role, l.partner, l.well_index, l.level_ordinal)
+              for l in sq.classify_well_states(res, ring, scales).labels]
+    n = len(expected)
+    assert labels[:n] == expected
+    assert all(label[0] == "delocalized" for label in labels[n:])
+    assert len(labels) == 400
 
 
 def test_well_state_variances(spectral_049, quadratures_400):
