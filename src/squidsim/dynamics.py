@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ParameterError, PositivityWarning, StepSizeError
 from .params import CODATA2018
+from .states import MixedState
 
 __all__ = [
     "BathParams", "Observables", "Trajectory",
@@ -157,7 +158,11 @@ def _moments_rho(rho, dim):
 
 @dataclass
 class Trajectory:
-    """Observable time series (and optional snapshots) of a Lindblad run."""
+    """Observable time series (and optional snapshots) of a Lindblad run.
+
+    snapshots holds one factored MixedState per snapshot time (rank at most
+    the kept level count K); call dense() for the dim x dim matrix.
+    """
 
     times: np.ndarray
     mean_x: np.ndarray
@@ -229,9 +234,11 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
 
     Fixed-step RK4 on the kept energy levels with per-step Hermitisation and
     trace renormalisation.  Observables are recorded every `record_stride`
-    steps (always including tau = 0 and tau_max); number-basis copies of rho
-    are stored every `snapshot_stride` steps when given.  Warns when a
-    snapshot or the final state has an eigenvalue below -1e-4.
+    steps (always including tau = 0 and tau_max).  Every `snapshot_stride`
+    steps, when given, rho is stored factored as a MixedState: the
+    eigenpairs of the K x K matrix, with the eigenvectors mapped to the
+    number basis through V_K; its dense() gives the number-basis matrix.
+    Warns when a snapshot or the final state has an eigenvalue below -1e-4.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if (rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]
@@ -317,12 +324,13 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
                 purity=float(np.sum(np.abs(rho) ** 2))))
         if snapshot_stride is not None and (
                 step % snapshot_stride == 0 or step == n_steps):
-            fock = v @ rho @ v.conj().T
+            w, u = np.linalg.eigh(rho)
             snapshot_times.append(step * dtau)
-            snapshots.append(0.5 * (fock + fock.conj().T))
-            lowest[step] = float(np.linalg.eigvalsh(rho)[0])
+            snapshots.append(MixedState(w, v @ u))
+            lowest[step] = float(w[0])
 
-    lowest[n_steps] = float(np.linalg.eigvalsh(rho)[0])
+    if n_steps not in lowest:
+        lowest[n_steps] = float(np.linalg.eigvalsh(rho)[0])
     for step, low in lowest.items():
         if low < -1e-4:
             warnings.warn(f"density matrix at tau={step * dtau:.4g} has "

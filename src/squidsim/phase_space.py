@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridResolutionError, ParameterError
 from .operators import hermiticity_defect
-from .states import hermite_functions
+from .states import MixedState, hermite_functions
 
 __all__ = [
     "PhaseSpaceField",
@@ -66,24 +66,39 @@ def _uniform_step(grid, name):
 
 
 def _state_weights(state):
-    """Decompose a state vector or density matrix into weighted pure states."""
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        norm = np.linalg.norm(arr)
-        if norm == 0.0:
-            raise ParameterError("zero state vector")
-        return np.array([1.0]), (arr / norm)[:, None]
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ParameterError("state must be a vector or a square density matrix")
-    scale = float(np.max(np.abs(arr))) or 1.0
-    if hermiticity_defect(arr) > 1e-10 * scale:
-        raise ParameterError("density matrix must be Hermitian")
-    tr = float(np.trace(arr).real)
-    if abs(tr - 1.0) > 1e-6:
+    """Weighted pure states (weights, vectors) of a state vector, a density
+    matrix or a MixedState; populations at or below POPULATION_FLOOR are cut.
+
+    A MixedState's factors are used as they are: only their finiteness and
+    their trace sum(weights) are checked.
+    """
+    if isinstance(state, MixedState):
+        weights = np.asarray(state.weights, dtype=float)
+        vectors = np.asarray(state.vectors, dtype=complex)
+        if not (np.isfinite(weights).all() and np.isfinite(vectors).all()):
+            raise ParameterError("mixed state weights and vectors must be finite")
+        _check_trace(float(np.sum(weights)))
+    else:
+        arr = np.asarray(state, dtype=complex)
+        if arr.ndim == 1:
+            norm = np.linalg.norm(arr)
+            if norm == 0.0:
+                raise ParameterError("zero state vector")
+            return np.array([1.0]), (arr / norm)[:, None]
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ParameterError("state must be a vector or a square density matrix")
+        scale = float(np.max(np.abs(arr))) or 1.0
+        if hermiticity_defect(arr) > 1e-10 * scale:
+            raise ParameterError("density matrix must be Hermitian")
+        _check_trace(float(np.trace(arr).real))
+        weights, vectors = np.linalg.eigh(arr)
+    keep = np.abs(weights) > POPULATION_FLOOR
+    return weights[keep], vectors[:, keep]
+
+
+def _check_trace(tr):
+    if not abs(tr - 1.0) <= 1e-6:
         raise ParameterError(f"density matrix trace is {tr!r}, expected 1")
-    vals, vecs = np.linalg.eigh(arr)
-    keep = np.abs(vals) > POPULATION_FLOOR
-    return vals[keep], vecs[:, keep]
 
 
 def _support_reach(weights, vectors):
@@ -129,7 +144,8 @@ def _kernel_transform(weights, psi_u, psi_v, zeta, p, dz, idx_u, idx_v):
 
 
 def wigner_function(state, x, p):
-    """Wigner function of a pure state or density matrix on an (x, p) grid.
+    """Wigner function of a pure state, density matrix or MixedState on an
+    (x, p) grid.
 
     Returns a real-valued PhaseSpaceField; the discarded imaginary residue
     is recorded on the field.  Raises GridResolutionError when the grid
@@ -164,7 +180,8 @@ def wigner_function(state, x, p):
 
 
 def weyl_function(state, x, p):
-    """Weyl (displacement autocorrelation) function on an (X, P) grid.
+    """Weyl (displacement autocorrelation) function of a pure state, density
+    matrix or MixedState on an (X, P) grid.
 
     The returned field is complex; its value at the origin equals
     trace(rho)/(2*pi).
@@ -181,15 +198,19 @@ def weyl_function(state, x, p):
                                   m_min=1)
     n_z = zeta.size
 
-    # u = zeta_j + X_i/2 and v = zeta_j - X_i/2 live on two shifted lattices
+    # u = zeta_j + X_i/2 and v = zeta_j - X_i/2 live on two shifted lattices,
+    # lat_u and lat_v = -x[0]/2 + (arange(n_z + span) - span - c) * dz.
+    # lat_v == -lat_u[::-1] bit for bit (symmetric integer offsets, exact
+    # negation), and phi_n(-x) == (-1)^n phi_n(x) bit for bit through the
+    # recurrence, so lat_u's table also gives psi on lat_v.
     stride = 2 ** (m - 1)
     span = (len(x) - 1) * stride
     lat_u = x[0] / 2.0 + (np.arange(n_z + span) - c) * dz
-    lat_v = -x[0] / 2.0 + (np.arange(n_z + span) - span - c) * dz
-
-    nmax = vectors.shape[0] - 1
-    psi_u = hermite_functions(nmax, lat_u) @ vectors
-    psi_v = hermite_functions(nmax, lat_v) @ vectors
+    table = hermite_functions(vectors.shape[0] - 1, lat_u)
+    parity = (-1.0) ** np.arange(vectors.shape[0])
+    psi_u = table @ vectors
+    psi_v = (table @ (parity[:, None] * vectors))[::-1]
+    del table   # freed before the kernel and the phases
     base = np.arange(len(x))[:, None] * stride
     values = _kernel_transform(weights, psi_u, psi_v, zeta, p, dz,
                                idx_u=base + np.arange(n_z)[None, :],
@@ -241,12 +262,12 @@ def phase_space_diagnostics(field: PhaseSpaceField, state=None):
     fringe = _fringe_amplitude(field, x_marginal)
 
     purity_exact = None
-    if state is not None:
+    if isinstance(state, MixedState):
+        purity_exact = float(np.sum(np.asarray(state.weights) ** 2))
+    elif state is not None:
         arr = np.asarray(state, dtype=complex)
-        if arr.ndim == 1:
-            purity_exact = 1.0
-        else:
-            purity_exact = float(np.trace(arr @ arr).real)
+        purity_exact = (1.0 if arr.ndim == 1
+                        else float(np.trace(arr @ arr).real))
     return PhaseSpaceDiagnostics(normalization, x_marginal, p_marginal,
                                  negativity, fringe, purity_estimate,
                                  purity_exact)

@@ -352,6 +352,7 @@ def _field_descriptor(field_obj, spec):
         "x_points": len(field_obj.x),
         "p_min": float(field_obj.p[0]), "p_max": float(field_obj.p[-1]),
         "p_points": len(field_obj.p),
+        "imag_residual": field_obj.imag_residual,
         "state": dataclasses.asdict(spec.state) | {
             "alpha": repr(spec.state.alpha)},
     }
@@ -526,11 +527,12 @@ def _run_decohere_cat(spec):
     tables = {"trajectory.csv": (list(traj.COLUMNS), traj.as_table())}
     x, p = spec.grid.x_axis(), spec.grid.p_axis()
     fields_meta = {}
-    for tau, rho in zip(traj.snapshot_times, traj.snapshots):
+    # the factored snapshots go straight to the kernels, never dense
+    for tau, snap in zip(traj.snapshot_times, traj.snapshots):
         _add_field(tables, fields_meta, f"wigner_tau{tau:07.2f}.csv",
-                   wigner_function(rho, x, p), spec)
+                   wigner_function(snap, x, p), spec)
         _add_field(tables, fields_meta, f"weyl_tau{tau:07.2f}.csv",
-                   weyl_function(rho, x, p), spec)
+                   weyl_function(snap, x, p), spec)
     return tables, {"snapshot_taus": [float(t) for t in traj.snapshot_times],
                     "fields": fields_meta, **_propagation_health(traj)}
 
@@ -586,7 +588,8 @@ def _run_evolve(spec):
     traj = _propagate(spec, spec.bath, scales, h, psi,
                       spec.run.snapshot_stride)
     tables = {"trajectory.csv": (list(traj.COLUMNS), traj.as_table())}
-    for tau, rho in zip(traj.snapshot_times, traj.snapshots):
+    for tau, snap in zip(traj.snapshot_times, traj.snapshots):
+        rho = snap.dense()
         idx = [f"n{k}" for k in range(rho.shape[0])]
         tables[f"rho_tau{tau:07.2f}_re.csv"] = (idx, rho.real)
         tables[f"rho_tau{tau:07.2f}_im.csv"] = (idx, rho.imag)

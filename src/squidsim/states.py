@@ -39,17 +39,20 @@ def hermite_functions(n_max, x):
     """Normalised oscillator eigenfunctions phi_0..phi_n_max at points x.
 
     Returns an array of shape (len(x), n_max + 1); column n satisfies
-    integral(phi_n^2) = 1 with phi_0(x) = pi**-0.25 * exp(-x^2/2).
+    integral(phi_n^2) = 1 with phi_0(x) = pi**-0.25 * exp(-x^2/2).  The
+    table is filled one contiguous row per n and returned as its transpose,
+    a column-major view.  Negating x is exact in every step of the
+    recurrence, so phi_n(-x) == (-1)**n * phi_n(x) bit for bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((x.size, n_max + 1))
-    out[:, 0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    out = np.empty((n_max + 1, x.size))
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     if n_max >= 1:
-        out[:, 1] = np.sqrt(2.0) * x * out[:, 0]
+        out[1] = np.sqrt(2.0) * x * out[0]
     for n in range(2, n_max + 1):
-        out[:, n] = (np.sqrt(2.0 / n) * x * out[:, n - 1]
-                     - np.sqrt((n - 1) / n) * out[:, n - 2])
-    return out
+        out[n] = (np.sqrt(2.0 / n) * x * out[n - 1]
+                  - np.sqrt((n - 1) / n) * out[n - 2])
+    return out.T
 
 
 def _as_state(psi):
@@ -84,12 +87,29 @@ def position_wavefunction(psi, x):
     if psi.ndim == 1:
         return table @ psi
     # one product per column rounds exactly as the vector form does; a
-    # single matrix product would not
-    table = table.astype(complex)
+    # single matrix product would not, nor would the column-major layout
+    table = table.astype(complex, order="C")
     out = np.empty((table.shape[0], psi.shape[1]), dtype=complex)
     for k in range(psi.shape[1]):
         out[:, k] = table @ psi[:, k]
     return out
+
+
+@dataclass(frozen=True)
+class MixedState:
+    """Density matrix held as weighted pure states,
+    rho = sum_k weights[k] |vectors[:, k]><vectors[:, k]|.
+
+    vectors is (dim, rank) in the number basis; dense() builds the
+    Hermitised dim x dim matrix.
+    """
+
+    weights: np.ndarray
+    vectors: np.ndarray
+
+    def dense(self):
+        rho = (self.vectors * self.weights) @ self.vectors.conj().T
+        return 0.5 * (rho + rho.conj().T)
 
 
 def fock_state(n, dim):

@@ -271,7 +271,8 @@ def test_criterion_09_lindblad_integrity(decohere_run, squeeze_runs):
                           snapshot_stride=1000)
     purity_drift = float(np.max(np.abs(closed.purity - 1.0)))
     assert purity_drift < 1e-6
-    energies = [float(np.trace(h_s @ r).real) for r in closed.snapshots]
+    energies = [float(np.trace(h_s @ r.dense()).real)
+                for r in closed.snapshots]
     energy_drift = max(abs(e - energies[0]) for e in energies)
     assert energy_drift < 1e-6
 
@@ -284,7 +285,8 @@ def test_criterion_09_lindblad_integrity(decohere_run, squeeze_runs):
         for t in runs)
     assert worst_trace <= 1e-8
     worst_herm = max(
-        max((sq.hermiticity_defect(r) for r in t.snapshots), default=0.0)
+        max((sq.hermiticity_defect(r.dense()) for r in t.snapshots),
+            default=0.0)
         for t in runs)
     assert worst_herm <= 1e-9
     report(9, "lindblad integrity",

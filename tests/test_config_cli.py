@@ -181,6 +181,13 @@ def test_decohere_scenario_field_files(tmp_path):
     wig_count = sum(n.startswith("wigner_tau") for n in names)
     wey_count = sum(n.startswith("weyl_tau") for n in names)
     assert wig_count == wey_count == len(taus)
+    # each field records the imaginary residue the Wigner sum discarded
+    for name, desc in dataset.metadata["fields"].items():
+        residual = desc["imag_residual"]
+        if name.startswith("weyl_tau"):
+            assert residual == 0.0
+        else:
+            assert 0.0 <= residual < 1e-10
 
 
 def test_squeeze_scenario_dips_below_half(tmp_path):

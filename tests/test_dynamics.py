@@ -129,7 +129,7 @@ def test_propagator_matches_reference_generator():
     expected = rk4_reference(rho.astype(complex))
     traj = sq.propagate(rho, h, bath, dtau=dtau, tau_max=dtau,
                         snapshot_stride=1)
-    assert np.max(np.abs(traj.snapshots[-1] - expected)) < 1e-13
+    assert np.max(np.abs(traj.snapshots[-1].dense() - expected)) < 1e-13
 
 
 def test_thermalization_to_bath_occupation():
@@ -167,9 +167,10 @@ def test_closed_system_purity_and_energy():
     traj = sq.propagate(rho0, h, bath, dtau=0.005, tau_max=10.0,
                         record_stride=50, snapshot_stride=500)
     assert np.max(np.abs(traj.purity - 1.0)) < 1e-6
-    energies = [np.trace(h @ r).real for r in traj.snapshots]
+    rhos = [snap.dense() for snap in traj.snapshots]
+    energies = [np.trace(h @ r).real for r in rhos]
     assert np.max(np.abs(np.diff(energies))) < 1e-6
-    defects = [sq.hermiticity_defect(r) for r in traj.snapshots]
+    defects = [sq.hermiticity_defect(r) for r in rhos]
     assert max(defects) < 1e-9
 
 
@@ -290,7 +291,7 @@ def test_full_rank_state_keeps_every_level_and_matches_oracle():
                         snapshot_stride=1)
     assert traj.energy_levels_kept == dim
     for got, want in zip(traj.snapshots, expected, strict=True):
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(got.dense() - want)) <= 1e-12
 
 
 def _decohering_ground_state():
@@ -327,7 +328,22 @@ def test_truncated_eigenbasis_matches_oracle(make):
         reference = np.array([getattr(obs, column) for obs in want])
         assert np.max(np.abs(getattr(traj, column) - reference)) <= 1e-10
     for got, ref in zip(traj.snapshots, expected[::5 * stride], strict=True):
-        assert np.max(np.abs(got - ref)) <= 1e-10
+        assert np.max(np.abs(got.dense() - ref)) <= 1e-10
+
+
+def test_snapshots_are_factored_in_the_kept_levels():
+    rho0, h, bath = _decohering_ground_state()
+    traj = sq.propagate(rho0, h, bath, dtau=0.005, tau_max=0.1,
+                        snapshot_stride=10)
+    k = traj.energy_levels_kept
+    assert len(traj.snapshots) == 3
+    for snap in traj.snapshots:
+        assert snap.vectors.shape == (len(h), k)
+        assert np.all(np.diff(snap.weights) >= 0.0)
+        assert abs(np.sum(snap.weights) - 1.0) <= 1e-12
+        gram = snap.vectors.conj().T @ snap.vectors
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-12
+    assert traj.min_eigenvalue == min(s.weights[0] for s in traj.snapshots)
 
 
 def _ln2_bath(damping):

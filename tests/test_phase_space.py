@@ -6,6 +6,8 @@ from scipy.special import eval_laguerre
 
 import squidsim as sq
 from squidsim import GridResolutionError, ParameterError
+from squidsim.phase_space import _state_weights
+from squidsim.states import MixedState
 
 
 def axes(span=6.0, n=97):
@@ -221,3 +223,63 @@ def test_cat_purity_versus_mixture(spectral_049):
     assert dmix.purity_exact == pytest.approx(0.5, abs=1e-10)
     # interference collapses in the mixture
     assert dmix.fringe_amplitude < 0.1 * diag.fringe_amplitude
+
+
+def random_mixed_state(dim, rank, seed):
+    """Rank-`rank` MixedState on orthonormal mixtures of the lowest 12
+    number states, so that small grids cover it."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(12, rank))
+                        + 1j * rng.normal(size=(12, rank)))
+    vectors = np.zeros((dim, rank), dtype=complex)
+    vectors[:12] = q
+    weights = rng.uniform(0.1, 1.0, rank)
+    return MixedState(weights / weights.sum(), vectors)
+
+
+def test_mixed_state_fields_match_its_dense_matrix():
+    state = random_mixed_state(48, 3, 5)
+    x, p = axes(8.0, 65)
+    for field_fn in (sq.wigner_function, sq.weyl_function):
+        factored = field_fn(state, x, p)
+        dense = field_fn(state.dense(), x, p)
+        assert np.max(np.abs(factored.values - dense.values)) <= 1e-12
+    wig = sq.wigner_function(state, x, p)
+    assert sq.phase_space_diagnostics(wig, state).purity_exact == pytest.approx(
+        sq.phase_space_diagnostics(wig, state.dense()).purity_exact, abs=1e-12)
+
+
+def test_mixed_state_factors_are_used_as_given():
+    state = random_mixed_state(20, 3, 7)
+    weights = np.array([1e-13, 0.25, 0.75])
+    weights_kept, vectors = _state_weights(MixedState(weights, state.vectors))
+    # no rediagonalisation: the factors above the floor come back unchanged
+    assert np.array_equal(weights_kept, weights[1:])
+    assert np.array_equal(vectors, state.vectors[:, 1:])
+
+
+@pytest.mark.parametrize("weights, poison", [
+    ([0.6, 0.3], None),             # trace 0.9
+    ([0.5, 0.5, 0.5], None),        # trace 1.5
+    ([0.5, np.nan], None),
+    ([0.5, np.inf], None),
+    ([0.5, 0.5], np.nan),
+    ([0.5, 0.5], np.inf),
+])
+def test_mixed_state_bad_factors_rejected(weights, poison):
+    vectors = np.eye(8, len(weights), dtype=complex)
+    if poison is not None:
+        vectors[3, 1] = poison
+    with pytest.raises(ParameterError):
+        _state_weights(MixedState(np.array(weights), vectors))
+
+
+def test_weyl_on_asymmetric_grid_matches_fourier_transform():
+    state = random_mixed_state(64, 3, 11)
+    x, p = axes(8.0, 129)
+    wig = sq.wigner_function(state, x, p)
+    x_out = np.linspace(-3.0, 6.0, 37)
+    p_out = np.linspace(-5.0, 2.0, 29)
+    wey = sq.weyl_function(state, x_out, p_out)
+    assert np.max(np.abs(sq.wigner_to_weyl(wig, x_out, p_out)
+                         - wey.values)) < 1e-4

@@ -18,6 +18,24 @@ def test_hermite_functions_orthonormal():
     assert np.max(np.abs(gram - np.eye(31))) < 1e-8
 
 
+def test_hermite_functions_parity_is_exact():
+    x = np.random.default_rng(3).uniform(-20.0, 20.0, 501)
+    phi = sq.hermite_functions(399, x)
+    sign = (-1.0) ** np.arange(400)
+    assert np.array_equal(sq.hermite_functions(399, -x), phi * sign)
+
+
+def test_hermite_functions_match_column_recurrence():
+    x = np.linspace(-16.0, 16.0, 257)
+    ref = np.empty((x.size, 400))
+    ref[:, 0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    ref[:, 1] = np.sqrt(2.0) * x * ref[:, 0]
+    for n in range(2, 400):
+        ref[:, n] = (np.sqrt(2.0 / n) * x * ref[:, n - 1]
+                     - np.sqrt((n - 1) / n) * ref[:, n - 2])
+    assert np.array_equal(sq.hermite_functions(399, x), ref)
+
+
 def test_vacuum_density_closed_form():
     x = np.linspace(-5, 5, 401)
     psi = sq.position_wavefunction(sq.fock_state(0, 50), x)
