@@ -22,19 +22,17 @@ def _apply_thread_override():
 # SQUIDSIM_THREADS must reach the BLAS variables before numpy is loaded
 _apply_thread_override()
 
-from .errors import (ConfigError, ConvergenceError, DegeneracyError,
-                     GridResolutionError, ParameterError, PositivityWarning,
-                     SquidSimError, StepSizeError, TruncationError)
+from .errors import (ConfigError, DegeneracyError, GridResolutionError,
+                     ParameterError, PositivityWarning, SquidSimError,
+                     StepSizeError, TruncationError)
 from .params import (CODATA2018, DerivedScales, PhysicalConstants,
-                     SquidParams, charge_to_momentum, derive_scales,
-                     flux_to_position, momentum_to_charge, position_to_flux)
+                     SquidParams, derive_scales)
 from .operators import (annihilation, cosine_operator, hermiticity_defect,
-                        ladder_operators, number_operator,
-                        quadrature_operators, sine_operator)
+                        ladder_operators, quadrature_operators)
 from .hamiltonian import (FluxGridHamiltonian, FluxSweep, SpectralResult,
                           Well, build_flux_grid_hamiltonian,
-                          build_fock_hamiltonian, converge_dimension,
-                          eigensolve, find_potential_wells, potential_energy,
+                          build_fock_hamiltonian, eigensolve,
+                          find_potential_wells, potential_energy,
                           potential_energy_scaled, spectrum_sweep)
 from .states import (WellClassification, WellLabel, classify_well_states,
                      coherent_state, fock_state, hermite_functions,
@@ -42,9 +40,8 @@ from .states import (WellClassification, WellLabel, classify_well_states,
 from .phase_space import (PhaseSpaceDiagnostics, PhaseSpaceField,
                           phase_space_diagnostics, weyl_function,
                           wigner_function, wigner_to_weyl)
-from .dynamics import (BathParams, Observables, Trajectory, bath_occupation,
-                       evolve_closed_spectral, lindblad_generator, propagate,
-                       propagate_state, state_observables)
+from .dynamics import (BathParams, Trajectory, bath_occupation,
+                       lindblad_generator, propagate)
 from .scenarios import (Dataset, GridSpec, RunSettings, SCENARIOS,
                         ScenarioSpec, StateRecipe, SweepSpec,
                         builtin_scenario, emit_dataset, friedman_ring,

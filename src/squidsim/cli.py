@@ -57,8 +57,7 @@ def main(argv=None):
 
 def _run(args):
     from .config import read_config
-    from .errors import (ConfigError, ConvergenceError, SquidSimError,
-                         TruncationError)
+    from .errors import ConfigError, SquidSimError, TruncationError
     from . import scenarios
 
     try:
@@ -75,7 +74,7 @@ def _run(args):
     except ConfigError as exc:
         print(f"squidsim: config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, TruncationError) as exc:
+    except TruncationError as exc:
         print(f"squidsim: convergence failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -31,9 +31,8 @@ from .params import CODATA2018
 from .states import MixedState
 
 __all__ = [
-    "BathParams", "Observables", "Trajectory",
-    "bath_occupation", "lindblad_generator", "propagate", "propagate_state",
-    "evolve_closed_spectral", "state_observables",
+    "BathParams", "Trajectory", "bath_occupation", "lindblad_generator",
+    "propagate",
 ]
 
 # largest predicted population the eigenbasis truncation may drop
@@ -107,30 +106,8 @@ def lindblad_generator(rho, hamiltonian, a, bath: BathParams):
     return out
 
 
-@dataclass
-class Observables:
-    trace: float
-    purity: float
-    mean_x: float
-    mean_p: float
-    var_x: float
-    var_p: float
-    occupation: float
-
-
-def state_observables(state):
-    """Trace, purity and quadrature moments of a density matrix or vector."""
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        return Observables(trace=float(np.vdot(arr, arr).real), purity=1.0,
-                           **_moments_psi(arr, arr.size))
-    return Observables(trace=float(np.trace(arr).real),
-                       purity=float(np.sum(np.abs(arr) ** 2)),
-                       **_moments_rho(arr, arr.shape[0]))
-
-
 def _ladder_moments(first, second, diag_n):
-    """Shared moment algebra given <a>, <a^2>, <a†a> contractions."""
+    """Quadrature moments from the contractions <a>, <a^2> and <a†a>."""
     mean_x = math.sqrt(2.0) * first.real
     mean_p = math.sqrt(2.0) * first.imag
     # x^2 = (a^2 + a†^2 + 2 a†a + 1)/2, p^2 likewise with a sign on a^2 terms
@@ -138,22 +115,6 @@ def _ladder_moments(first, second, diag_n):
     p2 = (-2.0 * second.real + 2.0 * diag_n + 1.0) / 2.0
     return {"mean_x": mean_x, "mean_p": mean_p, "var_x": x2 - mean_x**2,
             "var_p": p2 - mean_p**2, "occupation": diag_n}
-
-
-def _moments_psi(psi, dim):
-    a_psi = _lower(psi)
-    first = complex(np.vdot(psi, a_psi))
-    second = complex(np.vdot(psi, _lower(a_psi)))
-    diag_n = float(np.sum(np.arange(dim) * np.abs(psi) ** 2))
-    return _ladder_moments(first, second, diag_n)
-
-
-def _moments_rho(rho, dim):
-    s = np.sqrt(np.arange(1.0, dim))
-    first = complex(np.sum(s * np.diagonal(rho, offset=-1)))
-    second = complex(np.sum(s[:-1] * s[1:] * np.diagonal(rho, offset=-2)))
-    diag_n = float(np.sum(np.arange(dim) * np.diagonal(rho).real))
-    return _ladder_moments(first, second, diag_n)
 
 
 @dataclass
@@ -189,24 +150,10 @@ class Trajectory:
         ])
 
 
-@dataclass
-class StateTrajectory:
-    """Observable time series of a closed (pure-state) run."""
-
-    times: np.ndarray
-    mean_x: np.ndarray
-    mean_p: np.ndarray
-    var_x: np.ndarray
-    var_p: np.ndarray
-    occupation: np.ndarray
-    norm: np.ndarray
-    final_state: np.ndarray = None
-
-
 def _lower(v):
-    """a @ v for the number-basis annihilation operator; v is 1-D or 2-D."""
+    """a @ v for the number-basis annihilation operator and a matrix v."""
     out = np.zeros_like(v)
-    out[:-1] = (np.sqrt(np.arange(1.0, len(v))) * v[1:].T).T
+    out[:-1] = np.sqrt(np.arange(1.0, len(v)))[:, None] * v[1:]
     return out
 
 
@@ -339,36 +286,3 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
                       snapshots=snapshots, max_trace_correction=max_correction,
                       energy_levels_kept=k, leaked_population=leaked,
                       min_eigenvalue=min(lowest.values()))
-
-
-def propagate_state(psi0, hamiltonian, *, dtau=0.005, tau_max,
-                    record_stride=1):
-    """Closed-system fixed-step RK4 for a pure state (g = 0 limit).
-
-    In the energy eigenbasis one RK4 step multiplies each amplitude by
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 with z = -i E dtau, so raising R to
-    the step count gives the same integrator's state without a step loop.
-    Records the same quadrature observables as `propagate` plus the norm.
-    """
-    psi0 = np.asarray(psi0, dtype=complex).ravel()
-    dim = psi0.size
-    if hamiltonian.shape != (dim, dim):
-        raise ParameterError("Hamiltonian and state dimensions differ")
-    n_steps = _step_count(psi0, hamiltonian, dtau, tau_max, record_stride)
-    energies, vecs = np.linalg.eigh(hamiltonian)
-    z = -1j * dtau * energies
-    gain = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
-    coeff = vecs.conj().T @ psi0
-    rows = []
-    for step in sorted(set(range(0, n_steps + 1, record_stride)) | {n_steps}):
-        psi = vecs @ (coeff * gain ** step)
-        rows.append(dict(_moments_psi(psi, dim), times=step * dtau,
-                         norm=float(np.vdot(psi, psi).real)))
-    return StateTrajectory(**_columns(rows), final_state=psi)
-
-
-def evolve_closed_spectral(psi, spectral, tau):
-    """Exact closed evolution exp(-i H tau) |psi> through an eigensystem."""
-    coeff = spectral.eigenvectors.conj().T @ np.asarray(psi, dtype=complex)
-    coeff = coeff * np.exp(-1j * spectral.eigenvalues * tau)
-    return spectral.eigenvectors @ coeff

@@ -13,14 +13,6 @@ class TruncationError(SquidSimError):
     """The requested state cannot be represented in the truncated basis."""
 
 
-class ConvergenceError(SquidSimError):
-    """Basis-size convergence failed; carries the trial dimensions tried."""
-
-    def __init__(self, message, dims=None):
-        super().__init__(message)
-        self.dims = tuple(dims) if dims is not None else ()
-
-
 class GridResolutionError(SquidSimError):
     """A spatial grid is too coarse or does not cover the state support."""
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
-from .errors import ConvergenceError, GridResolutionError, ParameterError
+from .errors import GridResolutionError, ParameterError
 from .operators import cosine_operator, hermiticity_defect
 from .params import CODATA2018, DerivedScales, SquidParams, derive_scales
 
@@ -37,7 +37,6 @@ __all__ = [
     "build_flux_grid_hamiltonian",
     "eigensolve",
     "spectrum_sweep",
-    "converge_dimension",
 ]
 
 DEFAULT_DIM = 400
@@ -276,28 +275,3 @@ def spectrum_sweep(params: SquidParams, start, stop, step, levels=10,
         return np.linalg.eigvalsh(h)[:levels]
 
     return FluxSweep(bias, np.array([solve(phi) for phi in bias]))
-
-
-def converge_dimension(params: SquidParams, levels=20, tol=1e-8,
-                       dim=DEFAULT_DIM, step=100, max_dim=1000):
-    """Smallest basis size whose lowest `levels` eigenvalues are stable.
-
-    Accepts `dim` once enlarging the basis by `step` moves none of the
-    tracked eigenvalues by more than `tol` (in hbar*omega); raises
-    ConvergenceError carrying the last two trial dimensions otherwise.
-    """
-    scales = derive_scales(params)
-    current = np.linalg.eigvalsh(
-        build_fock_hamiltonian(params, scales, dim))[:levels]
-    shift = np.inf
-    while dim + step <= max_dim:
-        larger = np.linalg.eigvalsh(
-            build_fock_hamiltonian(params, scales, dim + step))[:levels]
-        shift = float(np.max(np.abs(larger - current)))
-        if shift < tol:
-            return dim, current
-        dim += step
-        current = larger
-    raise ConvergenceError(
-        f"eigenvalues moved by {shift:.3g} (> {tol}) between dim={dim - step} "
-        f"and dim={dim}; max_dim={max_dim} reached", dims=(dim - step, dim))

@@ -1,11 +1,11 @@
 """Operator algebra in the truncated number basis.
 
-All operators are plain dense ndarrays of shape (dim, dim).  Ladder and
-quadrature operators are real; the cosine and sine operators are built by
-spectral decomposition of a + a_dagger, which is exact on the truncated
-space and stays bounded even where a Taylor expansion of the cosine would be
-useless.  That decomposition is bias independent, so it is done once per
-(dim, k) and a phase offset costs two scaled matrix additions.
+All operators are plain dense ndarrays of shape (dim, dim).  The ladder
+operators are real; the cosine operator is built by spectral decomposition
+of a + a_dagger, which is exact on the truncated space and stays bounded
+even where a Taylor expansion of the cosine would be useless.  That
+decomposition is bias independent, so it is done once per (dim, k) and a
+phase offset costs two scaled matrix additions.
 """
 
 import functools
@@ -19,10 +19,8 @@ from .errors import ParameterError
 __all__ = [
     "annihilation",
     "ladder_operators",
-    "number_operator",
     "quadrature_operators",
     "cosine_operator",
-    "sine_operator",
     "hermiticity_defect",
 ]
 
@@ -47,11 +45,6 @@ def ladder_operators(dim):
     """Return (annihilation, creation)."""
     a = annihilation(dim)
     return a, a.T.copy()
-
-
-def number_operator(dim):
-    dim = _check_dim(dim)
-    return np.diag(np.arange(dim, dtype=float))
 
 
 def quadrature_operators(dim):
@@ -91,15 +84,6 @@ def _cos_sin_pair(dim, k):
     return tuple(pair)
 
 
-def _checked_pair(dim, k, phase):
-    dim = _check_dim(dim)
-    if not 0.0 <= k < math.inf:
-        raise ParameterError(f"operator scale must be finite and >= 0, got {k}")
-    if not math.isfinite(phase):
-        raise ParameterError(f"operator phase must be finite, got {phase}")
-    return _cos_sin_pair(dim, float(k))
-
-
 def cosine_operator(dim, k, phase=0.0):
     """cos(k*(a + a†) + phase), exact on the truncated space.
 
@@ -119,14 +103,13 @@ def cosine_operator(dim, k, phase=0.0):
     sin(phase) sin(kX); at phase 0 the result equals cos(kX) bit for bit.
     Returns a new array on every call.
     """
-    c, s = _checked_pair(dim, k, phase)
+    dim = _check_dim(dim)
+    if not 0.0 <= k < math.inf:
+        raise ParameterError(f"operator scale must be finite and >= 0, got {k}")
+    if not math.isfinite(phase):
+        raise ParameterError(f"operator phase must be finite, got {phase}")
+    c, s = _cos_sin_pair(dim, float(k))
     return math.cos(phase) * c - math.sin(phase) * s
-
-
-def sine_operator(dim, k, phase=0.0):
-    """sin(k*(a + a†) + phase) from the same cached pair as the cosine."""
-    c, s = _checked_pair(dim, k, phase)
-    return math.sin(phase) * c + math.cos(phase) * s
 
 
 def displacement_operator(dim, alpha):

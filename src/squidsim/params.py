@@ -21,10 +21,6 @@ __all__ = [
     "SquidParams",
     "DerivedScales",
     "derive_scales",
-    "flux_to_position",
-    "position_to_flux",
-    "charge_to_momentum",
-    "momentum_to_charge",
 ]
 
 
@@ -107,11 +103,6 @@ class SquidParams:
         energy = ratio * CODATA2018.flux_quantum**2 / inductance
         return cls(capacitance, inductance, energy, bias_flux)
 
-    def critical_current(self):
-        """Junction critical current Ic = 2*e*nu in ampere."""
-        return (2.0 * CODATA2018.electron_charge * self.josephson_energy
-                / CODATA2018.hbar)
-
     def with_bias(self, bias_flux):
         """Copy of these parameters at a different bias flux."""
         return replace(self, bias_flux=bias_flux)
@@ -163,23 +154,3 @@ def derive_scales(params: SquidParams) -> DerivedScales:
         p_per_coulomb=math.sqrt(1.0 / (CODATA2018.hbar * c_omega)),
         lc_period=2.0 * math.pi / omega,
     )
-
-
-def flux_to_position(phi, scales: DerivedScales):
-    """Magnetic flux in weber -> dimensionless position x."""
-    return phi * scales.x_per_weber
-
-
-def position_to_flux(x, scales: DerivedScales):
-    """Dimensionless position x -> magnetic flux in weber."""
-    return x / scales.x_per_weber
-
-
-def charge_to_momentum(q, scales: DerivedScales):
-    """Displacement charge in coulomb -> dimensionless momentum p."""
-    return q * scales.p_per_coulomb
-
-
-def momentum_to_charge(p, scales: DerivedScales):
-    """Dimensionless momentum p -> displacement charge in coulomb."""
-    return p / scales.p_per_coulomb

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridResolutionError, ParameterError
 from .operators import hermiticity_defect
-from .states import MixedState, hermite_functions
+from .states import MixedState, _as_state, hermite_functions
 
 __all__ = [
     "PhaseSpaceField",
@@ -81,10 +81,7 @@ def _state_weights(state):
     else:
         arr = np.asarray(state, dtype=complex)
         if arr.ndim == 1:
-            norm = np.linalg.norm(arr)
-            if norm == 0.0:
-                raise ParameterError("zero state vector")
-            return np.array([1.0]), (arr / norm)[:, None]
+            return np.array([1.0]), _as_state(arr)[:, None]
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ParameterError("state must be a vector or a square density matrix")
         scale = float(np.max(np.abs(arr))) or 1.0

@@ -13,8 +13,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DegeneracyError, ParameterError, TruncationError
-from .hamiltonian import (SpectralResult, barrier_between, find_potential_wells,
-                          potential_energy_scaled)
+from .hamiltonian import SpectralResult, barrier_between, find_potential_wells
 from .operators import quadrature_operators
 from .params import derive_scales
 
@@ -56,11 +55,18 @@ def hermite_functions(n_max, x):
 
 
 def _as_state(psi):
+    """psi as a flat complex vector of unit norm; rejects zero or non-finite."""
     psi = np.asarray(psi, dtype=complex).ravel()
+    _check_finite(psi)
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise ParameterError("zero state vector")
     return psi / norm
+
+
+def _check_finite(psi):
+    if not np.isfinite(psi).all():
+        raise ParameterError("state amplitudes must be finite")
 
 
 def position_wavefunction(psi, x):
@@ -68,13 +74,14 @@ def position_wavefunction(psi, x):
 
     psi is one amplitude vector, giving shape (len(x),), or a (dim, k)
     matrix of k states, giving shape (len(x), k) from one table of basis
-    functions.  Warns when the grid reaches beyond the classical turning
-    point of the highest basis state, where the truncated basis cannot
-    represent anything.
+    functions.  Raises ParameterError for a non-finite amplitude.  Warns
+    when the grid reaches beyond the classical turning point of the highest
+    basis state, where the truncated basis cannot represent anything.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 2:
         psi = psi.ravel()
+    _check_finite(psi)
     x = np.asarray(x, dtype=float)
     dim = psi.shape[0]
     support = np.sqrt(2.0 * (dim - 1) + 1.0)
@@ -215,12 +222,6 @@ class WellClassification:
 
     def pairs(self):
         return [l for l in self.labels if l.kind == "pair"]
-
-    def localized(self, well_index=None):
-        out = [l for l in self.labels if l.kind == "localized"]
-        if well_index is not None:
-            out = [l for l in out if l.well_index == well_index]
-        return out
 
 
 def classify_well_states(spectral: SpectralResult, params, scales=None):

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import squidsim as sq
+from squidsim import CODATA2018
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +38,27 @@ def quadratures_400():
 
 def expectation(op, psi):
     return complex(np.vdot(psi, op @ psi))
+
+
+def moments(state):
+    """Trace, purity and quadrature moments of a state vector or density
+    matrix, taken with the dense quadrature operators x and p."""
+    state = np.asarray(state, dtype=complex)
+    rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+    x, p = sq.quadrature_operators(len(rho))
+
+    def mean(op):
+        return float(np.sum(op * rho.T).real)     # tr(op rho)
+
+    mean_x, mean_p = mean(x), mean(p)
+    return SimpleNamespace(
+        trace=float(np.trace(rho).real),
+        purity=float(np.sum(np.abs(rho) ** 2)),
+        mean_x=mean_x, mean_p=mean_p,
+        var_x=mean(x @ x) - mean_x**2, var_p=mean(p @ p) - mean_p**2,
+        occupation=float(np.arange(len(rho)) @ np.diagonal(rho).real))
+
+
+def critical_current(params):
+    """Junction critical current Ic = 2 e nu in ampere."""
+    return 2.0 * CODATA2018.electron_charge * params.josephson_energy / CODATA2018.hbar

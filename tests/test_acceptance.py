@@ -139,9 +139,10 @@ def test_criterion_05_tunnel_splitting_and_oscillation(spectral_05):
     period_s = 2.0 * math.pi / (split400 * scales.omega)
     assert 100e-9 / 3.0 < period_s < 100e-9 * 3.0
 
-    # internal consistency: fixed-step RK4 propagation of (|s>+|a>)/sqrt(2)
-    # must oscillate in <x> at the eigen-splitting frequency.  The doublet
-    # is converged at this truncation (same splitting as dim=400 to 1e-6).
+    # internal consistency: propagating |cat><cat| for (|s>+|a>)/sqrt(2) at
+    # zero damping must oscillate in <x> at the eigen-splitting frequency.
+    # The doublet is converged at this truncation (same splitting as
+    # dim=400 to 1e-6).
     dim = 200
     h = sq.build_fock_hamiltonian(ring, scales, dim)
     res = sq.eigensolve(h, 2)
@@ -149,9 +150,10 @@ def test_criterion_05_tunnel_splitting_and_oscillation(spectral_05):
     assert split == pytest.approx(split400, rel=1e-6)
     s, a = sq.parity_pair(res, ring, scales)
     cat = sq.phase_superposition(s, a, 0.0)
-    traj = sq.propagate_state(cat, h, dtau=0.005, tau_max=2000.0,
-                              record_stride=50)
-    signal = traj.mean_x / traj.norm
+    closed = sq.BathParams(temperature=1.0, damping=0.0).resolved(scales)
+    traj = sq.propagate(np.outer(cat, cat.conj()), h, closed, dtau=0.005,
+                        tau_max=2000.0, record_stride=50)
+    signal = traj.mean_x / traj.trace
     t = traj.times
 
     def residual(omega):

@@ -13,6 +13,7 @@ import squidsim as sq
 from squidsim import ConfigError
 from squidsim.cli import main as cli_main
 from squidsim.config import format_config, parse_config
+from conftest import critical_current
 
 
 def test_parse_config_basics():
@@ -69,7 +70,7 @@ def test_unknown_keys_rejected():
 def test_critical_current_config_exclusivity():
     base = {"squid.capacitance_f": "1.03e-13", "squid.inductance_h": "2.38e-10"}
     spec = sq.ScenarioSpec.from_flat(base | {"squid.critical_current_a": "2.02e-6"})
-    assert spec.squid.critical_current() == pytest.approx(2.02e-6, rel=1e-12)
+    assert critical_current(spec.squid) == pytest.approx(2.02e-6, rel=1e-12)
     both = {"squid.critical_current_a": "2.02e-6",
             "squid.josephson_energy_j": "1e-22"}
     for mapping in (base | both, both):
@@ -80,7 +81,7 @@ def test_critical_current_config_exclusivity():
 @pytest.mark.parametrize("key, text, read", [
     ("squid.josephson_energy_j", "1e-22", lambda s: s.squid.josephson_energy),
     ("squid.critical_current_a", "2.02e-6",
-     lambda s: s.squid.critical_current()),
+     lambda s: critical_current(s.squid)),
     ("bath.frequency_rad_s", "1e11", lambda s: s.bath.frequency),
 ])
 def test_each_key_overrides_its_own_field(key, text, read):
@@ -541,6 +542,18 @@ def test_cli_invalid_values_exit_code(tmp_path, capsys, cmd, text, needle):
     code = cli_main([cmd, "--config", str(cfg), "--out", str(out)])
     assert code == 2
     assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_truncation_exit_code(tmp_path, capsys):
+    # |alpha|^2 = 25 exceeds dim/4 = 15, so the coherent state cannot be built
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("state.kind = coherent\nstate.alpha_re = 5\n")
+    out = tmp_path / "out"
+    code = cli_main(["wigner", "--dim", "60", "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 3
+    assert "convergence failure" in capsys.readouterr().err
     assert not out.exists()
 
 

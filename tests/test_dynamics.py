@@ -5,6 +5,7 @@ import pytest
 
 import squidsim as sq
 from squidsim import BathParams, CODATA2018, ParameterError, StepSizeError
+from conftest import moments
 
 
 def random_density(dim, seed):
@@ -82,7 +83,7 @@ def test_amplitude_damping_rate_of_fock1():
     bath = BathParams(temperature=0.0, damping=g, frequency=1e11)
     out = sq.lindblad_generator(rho, np.zeros((dim, dim)),
                                 sq.annihilation(dim), bath)
-    n_op = sq.number_operator(dim)
+    n_op = np.diag(np.arange(dim, dtype=float))
     dn = np.trace(n_op @ out).real
     assert dn == pytest.approx(-g, abs=1e-12)
 
@@ -99,7 +100,7 @@ def test_occupation_relaxation_identity():
     m_occ = sq.bath_occupation(bath)
     out = sq.lindblad_generator(rho, np.zeros((dim, dim)),
                                 sq.annihilation(dim), bath)
-    n_op = sq.number_operator(dim)
+    n_op = np.diag(np.arange(dim, dtype=float))
     dn = np.trace(n_op @ out).real
     n_mean = np.trace(n_op @ rho).real
     assert dn == pytest.approx(-g * (n_mean - m_occ), rel=1e-10, abs=1e-12)
@@ -209,49 +210,36 @@ def test_step_size_guard():
         sq.propagate(rho0, h, bath, dtau=0.2, tau_max=3.0)
 
 
-def test_pure_state_propagation_matches_density_matrix():
+def test_closed_evolution_matches_eigen_phases():
+    # at g = 0 the master equation is exp(-iH tau) on both sides of rho; the
+    # exact pure state V exp(-iE tau) V† psi gives every record and the end
     ring = sq.standard_ring(0.49)
     scales = sq.derive_scales(ring)
-    dim = 120
+    dim, dtau, tau_max, stride = 120, 0.005, 2.0, 40
     h = sq.build_fock_hamiltonian(ring, scales, dim)
+    energies, vecs = np.linalg.eigh(h)
     res = sq.eigensolve(h, 2)
     psi = sq.phase_superposition(res.eigenvectors[:, 0],
                                  res.eigenvectors[:, 1], 0.4)
     bath = BathParams(temperature=1.0, damping=0.0).resolved(scales)
-    rho_traj = sq.propagate(np.outer(psi, psi.conj()), h, bath,
-                            dtau=0.005, tau_max=2.0, record_stride=40)
-    psi_traj = sq.propagate_state(psi, h, dtau=0.005, tau_max=2.0,
-                                  record_stride=40)
-    # the two fixed-step integrators differ at the local-truncation level
-    assert np.max(np.abs(rho_traj.mean_x - psi_traj.mean_x)) < 1e-7
-    assert np.max(np.abs(rho_traj.var_x - psi_traj.var_x)) < 1e-7
-    assert np.max(np.abs(psi_traj.norm - 1.0)) < 1e-8
+    traj = sq.propagate(np.outer(psi, psi.conj()), h, bath, dtau=dtau,
+                        tau_max=tau_max, record_stride=stride,
+                        snapshot_stride=int(round(tau_max / dtau)))
+    coeff = vecs.T @ psi
 
+    def exact(tau):
+        return vecs @ (np.exp(-1j * energies * tau) * coeff)
 
-def test_spectral_evolution_matches_rk4():
-    ring = sq.standard_ring(0.49)
-    scales = sq.derive_scales(ring)
-    dim = 120
-    h = sq.build_fock_hamiltonian(ring, scales, dim)
-    res = sq.eigensolve(h)
-    psi = sq.phase_superposition(res.eigenvectors[:, 0],
-                                 res.eigenvectors[:, 1], 0.0)
-    tau = 1.5
-    exact = sq.evolve_closed_spectral(psi, res, tau)
-    rk4 = sq.propagate_state(psi, h, dtau=0.001, tau_max=tau).final_state
-    overlap = abs(np.vdot(exact, rk4))
-    assert overlap == pytest.approx(1.0, abs=1e-8)
-
-
-def test_state_observables_examples():
-    dim = 16
-    vac = np.zeros((dim, dim), dtype=complex)
-    vac[0, 0] = 1.0
-    obs = sq.state_observables(vac)
-    assert obs.var_x == pytest.approx(0.5, abs=1e-12)
-    assert obs.purity == pytest.approx(1.0, abs=1e-12)
-    mixed = np.diag([0.5, 0.5]).astype(complex)
-    assert sq.state_observables(mixed).purity == pytest.approx(0.5, abs=1e-12)
+    want = [moments(exact(tau)) for tau in traj.times]
+    assert len(want) == 11
+    for column in ("mean_x", "mean_p", "var_x", "var_p", "occupation",
+                   "trace", "purity"):
+        reference = np.array([getattr(obs, column) for obs in want])
+        assert np.max(np.abs(getattr(traj, column) - reference)) <= 1e-10
+    final = exact(tau_max)
+    assert traj.snapshot_times[-1] == tau_max
+    assert np.max(np.abs(traj.snapshots[-1].dense()
+                         - np.outer(final, final.conj()))) <= 1e-10
 
 
 def test_trajectory_csv_columns(tmp_path):
@@ -322,7 +310,7 @@ def test_truncated_eigenbasis_matches_oracle(make):
                         record_stride=stride, snapshot_stride=5 * stride)
     assert traj.energy_levels_kept < len(h)
     assert abs(traj.leaked_population) <= 1e-18
-    want = [sq.state_observables(r) for r in expected[::stride]]
+    want = [moments(r) for r in expected[::stride]]
     for column in ("mean_x", "mean_p", "var_x", "var_p", "occupation",
                    "trace", "purity"):
         reference = np.array([getattr(obs, column) for obs in want])
@@ -375,45 +363,17 @@ def test_negative_roundoff_does_not_cancel_real_weight(populations, damping,
     assert abs(traj.leaked_population) <= sq.dynamics.LEAK_TOLERANCE
 
 
-def test_propagate_state_matches_looped_rk4():
-    ring = sq.standard_ring(0.49)
-    scales = sq.derive_scales(ring)
-    dim, dtau, n_steps, stride = 60, 0.005, 400, 7
-    h = sq.build_fock_hamiltonian(ring, scales, dim).astype(complex)
-    psi = sq.coherent_state(0.8 - 0.6j, dim)
-    rows = []
-    for step in range(n_steps + 1):
-        if step:
-            k1 = -1j * (h @ psi)
-            k2 = -1j * (h @ (psi + 0.5 * dtau * k1))
-            k3 = -1j * (h @ (psi + 0.5 * dtau * k2))
-            k4 = -1j * (h @ (psi + dtau * k3))
-            psi = psi + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if step % stride == 0 or step == n_steps:
-            rows.append((sq.state_observables(psi), psi))
-    traj = sq.propagate_state(sq.coherent_state(0.8 - 0.6j, dim), h,
-                              dtau=dtau, tau_max=n_steps * dtau,
-                              record_stride=stride)
-    assert len(traj.times) == len(rows)
-    assert np.max(np.abs(traj.final_state - psi)) <= 1e-12
-    for column in ("mean_x", "mean_p", "var_x", "var_p", "occupation"):
-        reference = np.array([getattr(obs, column) for obs, _ in rows])
-        assert np.max(np.abs(getattr(traj, column) - reference)) <= 1e-12
-    norms = np.array([obs.trace for obs, _ in rows])
-    assert np.max(np.abs(traj.norm - norms)) <= 1e-12
-
-
 def _small_damped_run():
     ring = sq.standard_ring(0.5)
     scales = sq.derive_scales(ring)
     h = sq.build_fock_hamiltonian(ring, scales, 20)
     psi = sq.coherent_state(0.5, 20)
     bath = BathParams(temperature=1.0, damping=0.01).resolved(scales)
-    return psi, np.outer(psi, psi.conj()), h, bath
+    return np.outer(psi, psi.conj()), h, bath
 
 
 def test_non_finite_inputs_are_rejected():
-    psi, rho, h, bath = _small_damped_run()
+    rho, h, bath = _small_damped_run()
     bad_rho = rho.copy()
     bad_rho[1, 2] = np.nan
     bad_h = h.copy()
@@ -422,12 +382,6 @@ def test_non_finite_inputs_are_rejected():
         sq.propagate(bad_rho, h, bath, tau_max=0.05)
     with pytest.raises(ParameterError):
         sq.propagate(rho, bad_h, bath, tau_max=0.05)
-    bad_psi = psi.copy()
-    bad_psi[3] = np.nan
-    with pytest.raises(ParameterError):
-        sq.propagate_state(bad_psi, h, tau_max=0.05)
-    with pytest.raises(ParameterError):
-        sq.propagate_state(psi, bad_h, tau_max=0.05)
 
 
 @pytest.mark.parametrize("settings", [
@@ -435,22 +389,20 @@ def test_non_finite_inputs_are_rejected():
     {"record_stride": 0}, {"record_stride": -3},
 ])
 def test_bad_step_settings_are_rejected(settings):
-    psi, rho, h, bath = _small_damped_run()
+    rho, h, bath = _small_damped_run()
     run = {"dtau": 0.005, "tau_max": 0.05} | settings
     with pytest.raises(ParameterError):
         sq.propagate(rho, h, bath, **run)
-    with pytest.raises(ParameterError):
-        sq.propagate_state(psi, h, **run)
 
 
 def test_zero_snapshot_stride_is_rejected():
-    _, rho, h, bath = _small_damped_run()
+    rho, h, bath = _small_damped_run()
     with pytest.raises(ParameterError):
         sq.propagate(rho, h, bath, tau_max=0.05, snapshot_stride=0)
 
 
 def test_run_health_figures():
-    _, rho, h, bath = _small_damped_run()
+    rho, h, bath = _small_damped_run()
     traj = sq.propagate(rho, h, bath, dtau=0.005, tau_max=0.05,
                         record_stride=5, snapshot_stride=5)
     assert 1 <= traj.energy_levels_kept <= 20

@@ -163,17 +163,6 @@ def test_truncation_convergence_at_049():
     v500 = np.linalg.eigvalsh(sq.build_fock_hamiltonian(ring, scales, 500))[:20]
     assert np.max(np.abs(v400 - v500)) < 1e-8
 
-    dim, _ = sq.converge_dimension(ring, levels=20, tol=1e-8, dim=400, step=100)
-    assert dim == 400
-
-
-def test_converge_dimension_failure_reports_dims():
-    ring = sq.standard_ring(0.49)
-    with pytest.raises(sq.ConvergenceError) as err:
-        sq.converge_dimension(ring, levels=20, tol=1e-18, dim=40, step=20,
-                              max_dim=80)
-    assert err.value.dims == (60, 80)
-
 
 def test_sweep_reflection_and_periodicity():
     sweep = sq.spectrum_sweep(sq.standard_ring(), 0.0, 1.0, 0.125,

@@ -7,7 +7,7 @@ import pytest
 import squidsim as sq
 from squidsim import DegeneracyError, ParameterError, TruncationError
 from squidsim.operators import parity_operator
-from conftest import expectation
+from conftest import expectation, moments
 
 
 def test_hermite_functions_orthonormal():
@@ -82,6 +82,19 @@ def test_matrix_form_equals_vector_calls(spectral_049, points, half_width):
         assert np.array_equal(many[:, k], single)
 
 
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_non_finite_amplitudes_rejected(poison):
+    psi = sq.fock_state(2, 16)
+    psi[5] = poison
+    x = np.linspace(-3.0, 3.0, 13)
+    with pytest.raises(ParameterError):
+        sq.position_wavefunction(psi, x)
+    with pytest.raises(ParameterError):
+        sq.position_wavefunction(np.column_stack([sq.fock_state(0, 16), psi]), x)
+    with pytest.raises(ParameterError):
+        sq.phase_superposition(sq.fock_state(0, 16), psi, 0.0)
+
+
 def test_matrix_form_warns_once_beyond_support():
     block = np.eye(8, 3)
     with warnings.catch_warnings(record=True) as caught:
@@ -100,7 +113,7 @@ def test_coherent_vacuum_limit():
 
 def test_coherent_quadratures_and_occupation():
     psi = sq.coherent_state(1j, 400)
-    obs = sq.state_observables(psi)
+    obs = moments(psi)
     assert obs.mean_x == pytest.approx(0.0, abs=1e-8)
     assert obs.mean_p == pytest.approx(math.sqrt(2.0), abs=1e-8)
     assert obs.var_x == pytest.approx(0.5, abs=1e-8)
@@ -111,7 +124,7 @@ def test_coherent_quadratures_and_occupation():
 def test_coherent_general_quadratures():
     alpha = 1.3 - 0.7j
     psi = sq.coherent_state(alpha, 300)
-    obs = sq.state_observables(psi)
+    obs = moments(psi)
     assert obs.mean_x == pytest.approx(math.sqrt(2.0) * alpha.real, abs=1e-8)
     assert obs.mean_p == pytest.approx(math.sqrt(2.0) * alpha.imag, abs=1e-8)
 
@@ -188,7 +201,7 @@ def test_classification_at_049(spectral_049):
 def test_classification_mean_within_turning_points(spectral_049):
     ring, scales, h, res = spectral_049
     cls = sq.classify_well_states(res, ring, scales)
-    for label in cls.localized():
+    for label in (l for l in cls.labels if l.kind == "localized"):
         u_at_mean = sq.potential_energy_scaled(label.mean_x, ring, scales)
         assert u_at_mean < label.energy
 
@@ -296,5 +309,5 @@ def test_uncertainty_floor(spectral_049):
               sq.phase_superposition(res.eigenvectors[:, 0],
                                      res.eigenvectors[:, 1], 0.3)]
     for psi in states:
-        obs = sq.state_observables(psi)
+        obs = moments(psi)
         assert obs.var_x * obs.var_p >= 0.25 - 1e-8
