@@ -5,9 +5,11 @@ Both fields are computed from their defining integrals,
     W(x, p)  = (1/2pi) * integral dz <x + z/2| rho |x - z/2> exp(-i z p)
     Wt(X, P) = (1/2pi) * integral dz <z + X/2| rho |z - X/2> exp(-i z P),
 
-with the density kernel expanded over the eigenstates of rho and the
-oscillator eigenfunctions evaluated on an auxiliary lattice chosen so that
-every required point x +- z/2 (resp. z +- X/2) lands exactly on it.  The z
+through one chord transform: with the number parity Pi = (-1)^n,
+Wt(X, P) = W_{rho Pi}(X/2, P/2) / 2 (Royer 1977), so both fields share one
+sampling lattice.  The density kernel is expanded over the eigenstates of
+rho and the oscillator eigenfunctions are evaluated on an auxiliary lattice
+chosen so that every required point x +- z/2 lands exactly on it.  The z
 step is a power-of-two subdivision of the grid step, fine enough to sample
 the fastest exp(-i z p) oscillation at the grid edge at least eight times
 per period; the z range is symmetric, which makes the Wigner sum real up
@@ -113,26 +115,40 @@ def _check_cover(grid, reach, name):
             f"state support |{name}| <= {reach:.3g}")
 
 
-def _zeta_layout(step, target, half_range, m_min=0):
-    """Symmetric auxiliary grid zeta_j = (j - c) * dz, j = 0 .. 2c, with
-    dz = step / 2**m for the smallest m >= m_min such that dz <= target."""
-    m = m_min
-    dz = step / 2.0 ** m
-    while dz > target:
-        m += 1
-        dz = step / 2.0 ** m
-    c = int(np.ceil(half_range / dz))
-    return m, dz, c, (np.arange(2 * c + 1) - c) * dz
+def _chord_transform(weights, left, right, x, p, reach):
+    """(1/2pi) sum_j <x_i + z_j/2| A |x_i - z_j/2> exp(-i z_j p) dz on the
+    (x, p) grid for A = sum_k weights[k] |left[:, k]><right[:, k]|.
 
-
-def _kernel_transform(weights, psi_u, psi_v, zeta, p, dz, idx_u, idx_v):
-    """(1/2pi) sum_j K(i, zeta_j) exp(-i zeta_j p) dz for the density kernel
-    K = sum_k w_k psi_u[idx_u, k] conj(psi_v[idx_v, k]).
-
-    Callers build idx_u and idx_v in the call, so they are freed here before
-    the kernel and the phases; on the cat-fields benchmark (glibc, 2-core
-    x86-64) that order lowers the peak resident size by about 3 MiB.
+    z_j = (j - c) * dz covers |z| <= 2 (reach + TAIL_PAD) with
+    dz = dx / 2**m for the smallest m >= 0 that samples the fastest
+    exp(-i z p) oscillation at least eight times per period.  Every
+    x_i +- z_j/2 then sits on one lattice of step dz/2 anchored at x[0],
+    whose single Hermite table gives both factors; pass right=left to
+    multiply the table once.  The table is freed before the kernel; the
+    index arrays live until the return, since freeing them before the
+    phases are built raised the peak resident size of the cat-fields
+    benchmark by about 8 MiB (glibc, 2-core x86-64).
     """
+    dx = float(x[1] - x[0])
+    # kernel oscillations (state momentum content) add to the transform phase
+    target = np.pi / (4.0 * (np.max(np.abs(p)) + reach))
+    m = 0
+    while dx / 2.0 ** m > target:
+        m += 1
+    dz = dx / 2.0 ** m
+    c = int(np.ceil(2.0 * (reach + TAIL_PAD) / dz))
+    zeta = (np.arange(2 * c + 1) - c) * dz
+    n_z = zeta.size
+
+    stride = 2 ** (m + 1)
+    lattice = x[0] + (np.arange((len(x) - 1) * stride + n_z) - c) * (dz / 2.0)
+    table = hermite_functions(left.shape[0] - 1, lattice)
+    psi_u = table @ left
+    psi_v = psi_u if right is left else table @ right
+    del table
+    base = np.arange(len(x))[:, None] * stride
+    idx_u = base + np.arange(n_z)[None, :]
+    idx_v = base + (2 * c - np.arange(n_z))[None, :]
     kernel = np.zeros(idx_u.shape, dtype=complex)
     for k in range(len(weights)):
         kernel += weights[k] * psi_u[idx_u, k] * np.conj(psi_v[idx_v, k])
@@ -148,30 +164,13 @@ def wigner_function(state, x, p):
     is recorded on the field.  Raises GridResolutionError when the grid
     fails to cover the populated phase-space region.
     """
-    x, dx = _uniform_step(x, "x")
+    x, _ = _uniform_step(x, "x")
     p, _ = _uniform_step(p, "p")
     weights, vectors = _state_weights(state)
     reach = _support_reach(weights, vectors)
     _check_cover(x, reach, "x")
     _check_cover(p, reach, "p")
-
-    # kernel oscillations (state momentum content) add to the transform phase
-    p_fast = np.max(np.abs(p)) + reach
-    m, dz, c, zeta = _zeta_layout(dx, np.pi / (4.0 * p_fast),
-                                  2.0 * (reach + TAIL_PAD))
-    n_z = zeta.size
-
-    # every x_i +- zeta_j/2 sits on a lattice of step dz/2 anchored at x[0]
-    stride = 2 ** (m + 1)
-    g = dz / 2.0
-    q_count = (len(x) - 1) * stride + n_z
-    lattice = x[0] + (np.arange(q_count) - c) * g
-
-    psi_lat = hermite_functions(vectors.shape[0] - 1, lattice) @ vectors
-    base = np.arange(len(x))[:, None] * stride
-    raw = _kernel_transform(weights, psi_lat, psi_lat, zeta, p, dz,
-                            idx_u=base + np.arange(n_z)[None, :],
-                            idx_v=base + (2 * c - np.arange(n_z))[None, :])
+    raw = _chord_transform(weights, vectors, vectors, x, p, reach)
     residual = float(np.max(np.abs(raw.imag)))
     return PhaseSpaceField("wigner", x, p, raw.real, imag_residual=residual)
 
@@ -181,37 +180,17 @@ def weyl_function(state, x, p):
     matrix or MixedState on an (X, P) grid.
 
     The returned field is complex; its value at the origin equals
-    trace(rho)/(2*pi).
+    trace(rho)/(2*pi).  It is half the Wigner transform of rho times the
+    number parity (-1)^n at half the arguments (Royer 1977),
+    Wt(X, P) = W_{rho Pi}(X/2, P/2) / 2, so it shares the Wigner lattice.
     """
-    x, dX = _uniform_step(x, "X")
+    x, _ = _uniform_step(x, "X")
     p, _ = _uniform_step(p, "P")
     weights, vectors = _state_weights(state)
-    reach = _support_reach(weights, vectors)
-
-    p_fast = np.max(np.abs(p)) + 2.0 * reach
-    half_range = reach + TAIL_PAD + 0.5 * max(abs(x[0]), abs(x[-1]))
-    # m >= 1: X/2 must sit on the lattice, so dz must divide dX/2
-    m, dz, c, zeta = _zeta_layout(dX, np.pi / (4.0 * p_fast), half_range,
-                                  m_min=1)
-    n_z = zeta.size
-
-    # u = zeta_j + X_i/2 and v = zeta_j - X_i/2 live on two shifted lattices,
-    # lat_u and lat_v = -x[0]/2 + (arange(n_z + span) - span - c) * dz.
-    # lat_v == -lat_u[::-1] bit for bit (symmetric integer offsets, exact
-    # negation), and phi_n(-x) == (-1)^n phi_n(x) bit for bit through the
-    # recurrence, so lat_u's table also gives psi on lat_v.
-    stride = 2 ** (m - 1)
-    span = (len(x) - 1) * stride
-    lat_u = x[0] / 2.0 + (np.arange(n_z + span) - c) * dz
-    table = hermite_functions(vectors.shape[0] - 1, lat_u)
     parity = (-1.0) ** np.arange(vectors.shape[0])
-    psi_u = table @ vectors
-    psi_v = (table @ (parity[:, None] * vectors))[::-1]
-    del table   # freed before the kernel and the phases
-    base = np.arange(len(x))[:, None] * stride
-    values = _kernel_transform(weights, psi_u, psi_v, zeta, p, dz,
-                               idx_u=base + np.arange(n_z)[None, :],
-                               idx_v=span - base + np.arange(n_z)[None, :])
+    values = 0.5 * _chord_transform(weights, vectors, parity[:, None] * vectors,
+                                    x / 2.0, p / 2.0,
+                                    _support_reach(weights, vectors))
     return PhaseSpaceField("weyl", x, p, values)
 
 
@@ -258,13 +237,8 @@ def phase_space_diagnostics(field: PhaseSpaceField, state=None):
 
     fringe = _fringe_amplitude(field, x_marginal)
 
-    purity_exact = None
-    if isinstance(state, MixedState):
-        purity_exact = float(np.sum(np.asarray(state.weights) ** 2))
-    elif state is not None:
-        arr = np.asarray(state, dtype=complex)
-        purity_exact = (1.0 if arr.ndim == 1
-                        else float(np.trace(arr @ arr).real))
+    purity_exact = (None if state is None
+                    else float(np.sum(_state_weights(state)[0] ** 2)))
     return PhaseSpaceDiagnostics(normalization, x_marginal, p_marginal,
                                  negativity, fringe, purity_estimate,
                                  purity_exact)

@@ -6,6 +6,7 @@ eigenfunctions, generated by the stable three-term recurrence (factorial
 formulas overflow long before n = 400).
 """
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -120,7 +121,12 @@ class MixedState:
 
 
 def fock_state(n, dim):
-    """Number state |n> as an amplitude vector."""
+    """Number state |n> as an amplitude vector; n must be an integer."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ParameterError(
+            f"number state index must be an integer, got {n!r}") from None
     if not 0 <= n < dim:
         raise ParameterError(f"need 0 <= n < dim, got n={n}, dim={dim}")
     psi = np.zeros(dim, dtype=complex)
@@ -132,9 +138,12 @@ def coherent_state(alpha, dim):
     """Coherent state amplitudes c_n = exp(-|a|^2/2) a^n / sqrt(n!), renormalised.
 
     Requires |alpha|^2 <= dim/4 so the Poisson tail is safely inside the
-    truncation; raises TruncationError otherwise.
+    truncation; raises TruncationError otherwise, and ParameterError for a
+    non-finite alpha.
     """
     alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise ParameterError(f"coherent amplitude must be finite, got {alpha!r}")
     if abs(alpha) ** 2 > dim / 4.0:
         raise TruncationError(
             f"|alpha|^2 = {abs(alpha)**2:.3g} exceeds dim/4 = {dim / 4.0:.3g}")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 import squidsim as sq
@@ -108,12 +110,24 @@ def test_two_gaussian_cat_fringe_wavevector():
     assert measured == pytest.approx(2.0 * x0, rel=0.02)
 
 
-def test_weyl_vacuum_closed_form():
+def weyl_fock_exact(n, r2):
+    """Weyl function of |n>: exp(-r^2/4) L_n(r^2/2) / (2 pi)."""
+    return np.exp(-r2 / 4.0) * eval_laguerre(n, r2 / 2.0) / (2.0 * np.pi)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, "mixed"])
+def test_weyl_fock_closed_form(n):
     x, p = axes(8.0, 129)
-    fld = sq.weyl_function(sq.fock_state(0, 48), x, p)
     _, _, r2 = polar_sq(x, p)
-    exact = np.exp(-r2 / 4.0) / (2.0 * np.pi)
-    assert np.max(np.abs(np.abs(fld.values) - exact)) < 1e-10
+    if n == "mixed":
+        state = MixedState(np.array([0.6, 0.4]),
+                           np.eye(48, dtype=complex)[:, [1, 4]])
+        exact = 0.6 * weyl_fock_exact(1, r2) + 0.4 * weyl_fock_exact(4, r2)
+    else:
+        state = sq.fock_state(n, 48)
+        exact = weyl_fock_exact(n, r2)
+    fld = sq.weyl_function(state, x, p)
+    assert np.max(np.abs(fld.values - exact)) < 1e-10
 
 
 def test_weyl_origin_is_trace_over_2pi(spectral_049):
@@ -134,6 +148,8 @@ def test_weyl_point_symmetry():
     fld = sq.weyl_function(psi, x, x)
     mag = np.abs(fld.values)
     assert np.max(np.abs(mag - mag[::-1, ::-1])) < 1e-10
+    # Hermitian symmetry Wt(-X, -P) = conj Wt(X, P)
+    assert np.max(np.abs(fld.values[::-1, ::-1] - fld.values.conj())) < 1e-12
 
 
 def test_fourier_duality_vacuum_and_coherent():
@@ -203,6 +219,18 @@ def test_diagnostics_vacuum():
     assert diag.purity_estimate == pytest.approx(1.0, abs=1e-3)
     assert diag.purity_exact == 1.0
     assert diag.fringe_amplitude is None
+
+
+@pytest.mark.parametrize("state", [
+    np.full(16, np.nan, dtype=complex),
+    np.zeros(16, dtype=complex),
+    np.full((16, 16), np.nan, dtype=complex),
+], ids=["nan-vector", "zero-vector", "nan-matrix"])
+def test_diagnostics_reject_bad_state(state):
+    x, p = axes()
+    fld = sq.wigner_function(sq.fock_state(0, 16), x, p)
+    with pytest.raises(ParameterError):
+        sq.phase_space_diagnostics(fld, state)
 
 
 def test_diagnostics_fock1_most_negative_point():
@@ -296,3 +324,21 @@ def test_weyl_on_asymmetric_grid_matches_fourier_transform():
     wey = sq.weyl_function(state, x_out, p_out)
     assert np.max(np.abs(sq.wigner_to_weyl(wig, x_out, p_out)
                          - wey.values)) < 1e-4
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_random_mixed_state_field_properties(rank, seed):
+    state = random_mixed_state(32, rank, seed)
+    x, p = axes(8.0, 65)
+    wig = sq.wigner_function(state, x, p)
+    assert sq.phase_space_diagnostics(wig).normalization == pytest.approx(
+        1.0, abs=1e-4)
+    wey = sq.weyl_function(state, x, p).values
+    mid = len(x) // 2
+    assert abs(wey[mid, mid] - 1.0 / (2.0 * np.pi)) < 1e-10
+    assert np.max(np.abs(wey[::-1, ::-1] - wey.conj())) < 1e-12
+    x_out = np.linspace(-3.0, 6.0, 19)
+    p_out = np.linspace(-5.0, 2.0, 15)
+    assert np.max(np.abs(sq.wigner_to_weyl(wig, x_out, p_out)
+                         - sq.weyl_function(state, x_out, p_out).values)) < 1e-4

@@ -134,6 +134,20 @@ def test_coherent_truncation_guard():
         sq.coherent_state(4.0, 60)
 
 
+@pytest.mark.parametrize("alpha", [complex(math.nan), math.inf,
+                                   complex(0.0, math.nan)])
+def test_coherent_non_finite_amplitude_rejected(alpha):
+    with pytest.raises(ParameterError):
+        sq.coherent_state(alpha, 16)
+
+
+def test_fock_state_index_must_be_an_integer():
+    assert sq.fock_state(np.int64(3), 16)[3] == 1.0
+    for bad in (2.5, math.nan):
+        with pytest.raises(ParameterError):
+            sq.fock_state(bad, 16)
+
+
 def test_phase_superposition_norm_factor():
     dim = 20
     e0, e1 = sq.fock_state(0, dim), sq.fock_state(1, dim)
