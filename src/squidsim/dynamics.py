@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ParameterError, PositivityWarning, StepSizeError
+from .operators import hermiticity_defect
 from .params import CODATA2018
 from .states import MixedState
 
@@ -136,6 +137,7 @@ class Trajectory:
     snapshot_times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     max_trace_correction: float = 0.0
+    max_hermiticity_defect: float = 0.0
     energy_levels_kept: int = 0
     leaked_population: float = 0.0
     min_eigenvalue: float = 0.0
@@ -180,11 +182,13 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
     """Propagate a density matrix under the thermal master equation.
 
     Fixed-step RK4 on the kept energy levels with per-step Hermitisation and
-    trace renormalisation.  Observables are recorded every `record_stride`
-    steps (always including tau = 0 and tau_max).  Every `snapshot_stride`
-    steps, when given, rho is stored factored as a MixedState: the
-    eigenpairs of the K x K matrix, with the eigenvectors mapped to the
-    number basis through V_K; its dense() gives the number-basis matrix.
+    trace renormalisation; the largest |rho - rho†| of a step's result
+    before its Hermitisation is kept as max_hermiticity_defect.
+    Observables are recorded every `record_stride` steps (always including
+    tau = 0 and tau_max).  Every `snapshot_stride` steps, when given, rho
+    is stored factored as a MixedState: the eigenpairs of the K x K
+    matrix, with the eigenvectors mapped to the number basis through V_K;
+    its dense() gives the number-basis matrix.
     Warns when a snapshot or the final state has an eigenvalue below -1e-4.
     """
     rho0 = np.asarray(rho0, dtype=complex)
@@ -245,7 +249,7 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
     leaked = float(np.sum(np.abs(start[k:])))
     records, snapshot_times, snapshots = [], [], []
     lowest = {}     # step -> lowest eigenvalue of rho, at snapshots and the end
-    max_correction = 0.0
+    max_correction = max_defect = 0.0
 
     for step in range(n_steps + 1):
         if step:
@@ -255,6 +259,7 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
             k3 = rhs(rho + (0.5 * dtau) * k2)
             k4 = rhs(rho + dtau * k3)
             rho = rho + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            max_defect = max(max_defect, hermiticity_defect(rho))
             rho = 0.5 * (rho + rho.conj().T)
             tr = float(np.trace(rho).real)
             correction = abs(tr - 1.0)
@@ -284,5 +289,6 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
                           f"eigenvalue {low:.3g}", PositivityWarning, stacklevel=2)
     return Trajectory(**_columns(records), snapshot_times=snapshot_times,
                       snapshots=snapshots, max_trace_correction=max_correction,
+                      max_hermiticity_defect=max_defect,
                       energy_levels_kept=k, leaked_population=leaked,
                       min_eigenvalue=min(lowest.values()))

@@ -30,7 +30,13 @@ COS_SIN_CACHE_SIZE = 8
 
 
 def _check_dim(dim):
-    if int(dim) != dim or dim < 2:
+    """dim as an int; ParameterError unless it is an integer >= 2 (NaN and
+    infinities included)."""
+    try:
+        valid = int(dim) == dim and dim >= 2
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
         raise ParameterError(f"basis size must be an integer >= 2, got {dim!r}")
     return int(dim)
 

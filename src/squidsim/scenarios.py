@@ -5,15 +5,17 @@ through one key table, _KEYS.  Keys named after a field of the state, grid,
 sweep or run dataclass are derived from it; the others (units in the name,
 one component of a complex amplitude or of an index pair) have explicit
 rows.  A key overrides only its own field of the base spec.  Numbers must
-be finite, counts at least 1 and indices below the basis size; anything
-else raises ConfigError.
+be finite, counts at least 1, grids and the basis at least 2 points wide,
+steps positive and indices below the basis size; anything else raises
+ConfigError.
 
 SCENARIOS maps each scenario name, the CLI subcommands included, to its
-default spec and its runner.  A runner returns named CSV tables and extra
-metadata; run_scenario wraps them in a Dataset whose metadata echoes the
-full configuration, the derived scales and the integrator settings, so a
-run can be reproduced bit-identically from its own metadata.  Runners that
-start from one state take it from spec.state.
+default spec and its runner.  A runner returns named tables, (columns,
+rows) or a PhaseSpaceField, and extra metadata; run_scenario wraps them in
+a Dataset whose metadata echoes the full configuration, the derived scales
+and the integrator settings, so a run can be reproduced bit-identically
+from its own metadata.  Runners that start from one state take it from
+spec.state.
 """
 
 import dataclasses
@@ -102,7 +104,8 @@ class ScenarioSpec:
     run: RunSettings = field(default_factory=RunSettings)
 
     def __post_init__(self):
-        for key in _KEYS.values():
+        # run.dim first: the index and level ranges are relative to it
+        for key in sorted(_KEYS.values(), key=lambda k: k.name != "run.dim"):
             value = key.read(self)
             if key.check is None or value is None:
                 continue
@@ -191,7 +194,17 @@ def _between(low, high=lambda spec: math.inf):
     return check
 
 
+def _above(low):
+    """Like _between, for values strictly above low(spec)."""
+    def check(value, spec):
+        lo = low(spec)
+        return None if value > lo else f"> {lo!r}"
+    return check
+
+
 _count = _between(lambda spec: 1)
+_points = _between(lambda spec: 2)
+_positive = _above(lambda spec: 0.0)
 _level_count = _between(lambda spec: 1, lambda spec: spec.run.dim)
 _basis_index = _between(lambda spec: 0, lambda spec: spec.run.dim - 1)
 
@@ -241,8 +254,13 @@ _EXPLICIT_KEYS = (
 _PARSERS = {float: _finite_float, int: int, int | None: int, str: str}
 # fields whose range is not just "a count >= 1" or "anything finite"
 _FIELD_CHECKS = {("state", "kind"): _state_kind, ("state", "index"): _basis_index,
+                 ("grid", "x_points"): _points, ("grid", "p_points"): _points,
+                 ("grid", "x_max"): _above(lambda spec: spec.grid.x_min),
+                 ("grid", "p_max"): _above(lambda spec: spec.grid.p_min),
                  ("sweep", "stop"): _between(lambda spec: spec.sweep.start),
-                 ("sweep", "levels"): _level_count}
+                 ("sweep", "step"): _positive, ("sweep", "levels"): _level_count,
+                 ("run", "dim"): _points, ("run", "dtau"): _positive,
+                 ("run", "tau_max"): _between(lambda spec: 0.0)}
 
 
 def _derived_keys():
@@ -358,12 +376,6 @@ def _field_descriptor(field_obj, spec):
     }
 
 
-def _add_field(tables, fields_meta, name, field_obj, spec):
-    """File a phase-space field's table and its descriptor under `name`."""
-    tables[name] = _field_table(field_obj)
-    fields_meta[name] = _field_descriptor(field_obj, spec)
-
-
 def _level_panel(x, ring, scales, spectral, levels):
     """Columns x, potential and level k = |psi_k(x)|^2 + E_k, k < levels."""
     psi = position_wavefunction(spectral.eigenvectors[:, :levels], x)
@@ -406,8 +418,17 @@ def _resolve_state(spec):
 
 
 def run_scenario(spec: ScenarioSpec) -> Dataset:
-    """Execute a registered scenario and return its Dataset."""
+    """Execute a registered scenario and return its Dataset; each
+    PhaseSpaceField table is filed in long format, with its descriptor
+    under metadata["fields"]."""
     tables, extra = _registered(spec.name)[1](spec)
+    fields = {}
+    for name, table in tables.items():
+        if isinstance(table, PhaseSpaceField):
+            fields[name] = _field_descriptor(table, spec)
+            tables[name] = _field_table(table)
+    if fields:
+        extra["fields"] = fields
     return Dataset(spec.name, tables, _metadata(spec, extra))
 
 
@@ -442,33 +463,27 @@ def _run_cat_049(spec):
     `eigenstate<index>` or `coherent`."""
     _, _, psi = _resolve_state(spec)
     fld = wigner_function(psi, spec.grid.x_axis(), spec.grid.p_axis())
-    diag = phase_space_diagnostics(fld, psi)
+    diag = phase_space_diagnostics(fld)
     state = spec.state
     label = {"superposition": "cat", "eigenstate": f"eigenstate{state.index}",
              "coherent": "coherent"}[state.kind]
-    tables, fields_meta = {}, {}
-    _add_field(tables, fields_meta,
-               f"wigner_{label}_phix{spec.squid.bias_flux:.2f}.csv", fld, spec)
-    return tables, {"wigner_normalization": diag.normalization,
-                    "wigner_negativity_volume": diag.negativity_volume,
-                    "fields": fields_meta}
+    return ({f"wigner_{label}_phix{spec.squid.bias_flux:.2f}.csv": fld},
+            {"wigner_normalization": diag.normalization,
+             "wigner_negativity_volume": diag.negativity_volume})
 
 
-def _theta_fields(tables, fields_meta, s, a, spec):
-    """File the Wigner fields of (s + e^{i theta} a)/sqrt(2) for theta = 0,
-    pi/2 and pi."""
-    for theta in (0.0, np.pi / 2.0, np.pi):
-        fld = wigner_function(phase_superposition(s, a, theta),
-                              spec.grid.x_axis(), spec.grid.p_axis())
-        _add_field(tables, fields_meta, f"wigner_theta{theta:.2f}.csv", fld,
-                   spec)
+def _theta_fields(s, a, spec):
+    """Wigner fields of (s + e^{i theta} a)/sqrt(2) for theta = 0, pi/2 and
+    pi, by file name."""
+    return {f"wigner_theta{theta:.2f}.csv": wigner_function(
+                phase_superposition(s, a, theta),
+                spec.grid.x_axis(), spec.grid.p_axis())
+            for theta in (0.0, np.pi / 2.0, np.pi)}
 
 
 def _run_cat_phase(spec):
     s, a = _superposition_states(spec, *_ring_hamiltonian(spec))
-    tables, fields_meta = {}, {}
-    _theta_fields(tables, fields_meta, s, a, spec)
-    return tables, {"fields": fields_meta}
+    return _theta_fields(s, a, spec), {}
 
 
 def _run_friedman(spec):
@@ -488,16 +503,14 @@ def _run_friedman(spec):
 
     levels = min(j + 3, spectral.eigenvalues.size)
     tables = {"potential_wells.csv": _level_panel(
-        spec.grid.x_axis(), spec.squid, scales, spectral, levels)}
-    fields_meta = {}
-    _theta_fields(tables, fields_meta, spectral.eigenvectors[:, i],
-                  spectral.eigenvectors[:, j], spec)
+        spec.grid.x_axis(), spec.squid, scales, spectral, levels),
+        **_theta_fields(spectral.eigenvectors[:, i],
+                        spectral.eigenvectors[:, j], spec)}
     return tables, {
         "pair_indices": [i, j],
         "pair_splitting_hbar_omega": float(spectral.eigenvalues[j]
                                            - spectral.eigenvalues[i]),
         "pair_well_ordinals": {str(w): o for w, o in best.ordinals},
-        "fields": fields_meta,
     }
 
 
@@ -512,6 +525,7 @@ def _propagate(spec, bath, scales, h, psi, snapshot_stride):
 def _propagation_health(traj):
     """Deterministic numerical-health figures of one propagation."""
     return {"max_trace_correction": traj.max_trace_correction,
+            "max_hermiticity_defect": traj.max_hermiticity_defect,
             "energy_levels_kept": traj.energy_levels_kept,
             "leaked_population": traj.leaked_population,
             "min_snapshot_eigenvalue": traj.min_eigenvalue}
@@ -526,15 +540,12 @@ def _run_decohere_cat(spec):
     traj = _propagate(spec, spec.bath, scales, h, psi, stride)
     tables = {"trajectory.csv": (list(traj.COLUMNS), traj.as_table())}
     x, p = spec.grid.x_axis(), spec.grid.p_axis()
-    fields_meta = {}
     # the factored snapshots go straight to the kernels, never dense
     for tau, snap in zip(traj.snapshot_times, traj.snapshots):
-        _add_field(tables, fields_meta, f"wigner_tau{tau:07.2f}.csv",
-                   wigner_function(snap, x, p), spec)
-        _add_field(tables, fields_meta, f"weyl_tau{tau:07.2f}.csv",
-                   weyl_function(snap, x, p), spec)
+        tables[f"wigner_tau{tau:07.2f}.csv"] = wigner_function(snap, x, p)
+        tables[f"weyl_tau{tau:07.2f}.csv"] = weyl_function(snap, x, p)
     return tables, {"snapshot_taus": [float(t) for t in traj.snapshot_times],
-                    "fields": fields_meta, **_propagation_health(traj)}
+                    **_propagation_health(traj)}
 
 
 SQUEEZE_DAMPINGS = (0.0, 0.001, 0.01, 0.1)
@@ -574,10 +585,8 @@ def _run_field(spec):
     name), as `<name>.csv`."""
     _, _, psi = _resolve_state(spec)
     field_fn = {"wigner": wigner_function, "weyl": weyl_function}[spec.name]
-    fld = field_fn(psi, spec.grid.x_axis(), spec.grid.p_axis())
-    tables, fields_meta = {}, {}
-    _add_field(tables, fields_meta, f"{spec.name}.csv", fld, spec)
-    return tables, {"fields": fields_meta}
+    return {f"{spec.name}.csv": field_fn(psi, spec.grid.x_axis(),
+                                         spec.grid.p_axis())}, {}
 
 
 def _run_evolve(spec):

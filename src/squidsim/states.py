@@ -15,7 +15,7 @@ from scipy.special import gammaln
 
 from .errors import DegeneracyError, ParameterError, TruncationError
 from .hamiltonian import SpectralResult, barrier_between, find_potential_wells
-from .operators import quadrature_operators
+from .operators import _check_dim, quadrature_operators
 from .params import derive_scales
 
 __all__ = [
@@ -122,6 +122,7 @@ class MixedState:
 
 def fock_state(n, dim):
     """Number state |n> as an amplitude vector; n must be an integer."""
+    dim = _check_dim(dim)
     try:
         n = operator.index(n)
     except TypeError:
@@ -139,8 +140,9 @@ def coherent_state(alpha, dim):
 
     Requires |alpha|^2 <= dim/4 so the Poisson tail is safely inside the
     truncation; raises TruncationError otherwise, and ParameterError for a
-    non-finite alpha.
+    non-finite alpha or a basis size that is not an integer >= 2.
     """
+    dim = _check_dim(dim)
     alpha = complex(alpha)
     if not np.isfinite(alpha):
         raise ParameterError(f"coherent amplitude must be finite, got {alpha!r}")

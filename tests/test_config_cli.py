@@ -534,6 +534,18 @@ def test_cli_zero_record_stride_exit_code(tmp_path, capsys):
     ("spectrum", "sweep.step = nan\n", "sweep.step"),
     ("spectrum", "sweep.levels = -3\nsweep.step = 0.25\n", "sweep.levels"),
     ("evolve", "bath.damping = 0.05\nbath.frequency_rad_s = 0\n", "frequency"),
+    ("wigner", "grid.x_points = 1\n", "grid.x_points"),
+    ("spectrum", "grid.p_points = 1\nsweep.step = 0.25\n", "grid.p_points"),
+    ("wigner", "grid.x_max = -20\n", "grid.x_max"),
+    ("wigner", "grid.p_min = 16\n", "grid.p_max"),
+    ("wigner", "run.dtau = -1\n", "run.dtau"),
+    ("evolve", "bath.damping = 0.05\nrun.dtau = 0\n", "run.dtau"),
+    ("evolve", "bath.damping = 0.05\nrun.tau_max = -1\n", "run.tau_max"),
+    ("spectrum", "sweep.step = 0\n", "sweep.step"),
+    ("evolve", "", "config error: evolve needs bath.* settings"),
+    # a StepSizeError is a SquidSimError but not a ConfigError
+    ("evolve", "bath.damping = 0.01\nrun.dtau = 1\nrun.tau_max = 2\n",
+     "squidsim: error: dtau * spectral bound"),
 ])
 def test_cli_invalid_values_exit_code(tmp_path, capsys, cmd, text, needle):
     cfg = tmp_path / "bad.cfg"
@@ -542,6 +554,32 @@ def test_cli_invalid_values_exit_code(tmp_path, capsys, cmd, text, needle):
     code = cli_main([cmd, "--config", str(cfg), "--out", str(out)])
     assert code == 2
     assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_basis_size_below_two_is_reported_under_run_dim(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["wigner", "--dim", "1", "--out", str(out)]) == 2
+    assert "config error: run.dim = 1 must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_levels_option_sets_sweep_levels(tmp_path):
+    out = tmp_path / "out"
+    assert cli_main(["eigenstates", "--dim", "60", "--levels", "2",
+                     "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["config"]["sweep.levels"] == "2"
+    assert sorted(os.listdir(out)) == ["eigenstate_0.csv", "eigenstate_1.csv",
+                                       "metadata.json"]
+
+
+def test_cli_unreadable_config_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli_main(["wigner", "--config", str(tmp_path / "missing.cfg"),
+                     "--out", str(out)])
+    assert code == 2
+    assert "config error: cannot read config" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -563,8 +601,9 @@ def test_propagation_health_in_metadata(tmp_path):
     meta = sq.run_scenario(spec).metadata
     assert meta["integrator"]["method"] == (
         "rk4-fixed-step-truncated-energy-eigenbasis")
-    for key in ("max_trace_correction", "energy_levels_kept",
-                "leaked_population", "min_snapshot_eigenvalue"):
+    for key in ("max_trace_correction", "max_hermiticity_defect",
+                "energy_levels_kept", "leaked_population",
+                "min_snapshot_eigenvalue"):
         assert set(meta[key]) == {"0", "0.001", "0.01", "0.1"}
     assert all(1 <= k <= 60 for k in meta["energy_levels_kept"].values())
 
@@ -577,4 +616,5 @@ def test_propagation_health_in_metadata(tmp_path):
     meta = json.loads((tmp_path / "evolve" / "metadata.json").read_text())
     assert 1 <= meta["energy_levels_kept"] <= 40
     assert abs(meta["leaked_population"]) < 1e-18
+    assert 0.0 < meta["max_hermiticity_defect"] < 1e-9
     assert meta["min_snapshot_eigenvalue"] > -1e-4

@@ -22,9 +22,13 @@ def _value(key):
             return st.sampled_from(STATE_KINDS)
         return st.text(st.characters(categories=("L", "N", "Pd")), min_size=1)
     if key.parse is int:
-        return st.integers(1, 63).map(repr)
+        low = 2 if key.name in ("grid.x_points", "grid.p_points") else 1
+        return st.integers(low, 63).map(repr)
     if key.section in ("squid", "bath"):
         return st.floats(1e-30, 1e30).map(repr)
+    if key.name in ("run.dtau", "sweep.step", "run.tau_max"):
+        return st.floats(0.0, exclude_min=key.name != "run.tau_max",
+                         allow_infinity=False).map(repr)
     return st.floats(allow_nan=False, allow_infinity=False).map(repr)
 
 
@@ -48,9 +52,13 @@ def _is_finite_number(text):
 @settings(deadline=None, max_examples=200)
 @given(flat_configs())
 def test_flat_round_trip(mapping):
-    start, stop = (float(mapping.get(f"sweep.{f}", getattr(BASE.sweep, f)))
-                   for f in ("start", "stop"))
-    assume(stop >= start)
+    def value(section, name):
+        return float(mapping.get(f"{section}.{name}",
+                                 getattr(getattr(BASE, section), name)))
+
+    assume(value("sweep", "stop") >= value("sweep", "start"))
+    assume(value("grid", "x_max") > value("grid", "x_min"))
+    assume(value("grid", "p_max") > value("grid", "p_min"))
     spec = sq.ScenarioSpec.from_flat(mapping, defaults=BASE)
     assert sq.ScenarioSpec.from_flat(spec.to_flat()) == spec
     # each key sets its own field and every other field keeps the base value

@@ -148,6 +148,17 @@ def test_fock_state_index_must_be_an_integer():
             sq.fock_state(bad, 16)
 
 
+@pytest.mark.parametrize("dim", [2.5, math.nan, math.inf, 1])
+@pytest.mark.parametrize("build", [
+    lambda dim: sq.coherent_state(0.5, dim),
+    lambda dim: sq.fock_state(0, dim),
+    sq.annihilation,
+], ids=["coherent", "fock", "annihilation"])
+def test_basis_size_must_be_an_integer_of_at_least_two(build, dim):
+    with pytest.raises(ParameterError, match="basis size"):
+        build(dim)
+
+
 def test_phase_superposition_norm_factor():
     dim = 20
     e0, e1 = sq.fock_state(0, dim), sq.fock_state(1, dim)
