@@ -16,8 +16,11 @@ anticommutators so that trace stays exactly conserved.  This truncates the
 same equation (at K = dim it is the number-basis one, rotated); it is not a
 secular approximation.  K is the smallest level count whose predicted leak,
 the initial population above K plus a bound on what the jumps send there
-over the run, is at most LEAK_TOLERANCE.  Renormalisation only absorbs
-roundoff: an unstable step or a larger trace correction raises.
+over the run, is at most LEAK_TOLERANCE.  That bound counts only the jumps
+out of the initial populations, so a hot bath that pumps population up
+level by level can leak more; a run whose recorded leak exceeds LEAK_LIMIT
+raises.  Renormalisation only absorbs roundoff: an unstable step or a
+larger trace correction raises.
 """
 
 import math
@@ -26,7 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ParameterError, PositivityWarning, StepSizeError
+from .errors import (ParameterError, PositivityWarning, StepSizeError,
+                     TruncationError)
 from .operators import hermiticity_defect
 from .params import CODATA2018
 from .states import MixedState
@@ -38,6 +42,8 @@ __all__ = [
 
 # largest predicted population the eigenbasis truncation may drop
 LEAK_TOLERANCE = 1e-20
+# largest recorded population the kept levels may have lost over a run
+LEAK_LIMIT = 1e-10
 # RK4 is stable on the imaginary axis up to |z| = 2*sqrt(2)
 RK4_STABILITY_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -190,6 +196,8 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
     matrix, with the eigenvectors mapped to the number basis through V_K;
     its dense() gives the number-basis matrix.
     Warns when a snapshot or the final state has an eigenvalue below -1e-4.
+    Raises TruncationError when more than LEAK_LIMIT of the population left
+    the kept levels over the run.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if (rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]
@@ -281,6 +289,10 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
             snapshots.append(MixedState(w, v @ u))
             lowest[step] = float(w[0])
 
+    if not leaked <= LEAK_LIMIT:
+        raise TruncationError(
+            f"{leaked:.3g} of the population left the {k} kept energy levels, "
+            f"more than LEAK_LIMIT = {LEAK_LIMIT:g}")
     if n_steps not in lowest:
         lowest[n_steps] = float(np.linalg.eigvalsh(rho)[0])
     for step, low in lowest.items():

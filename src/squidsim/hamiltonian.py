@@ -79,7 +79,7 @@ def potential_energy(phi, params: SquidParams):
     return quad - joseph
 
 
-def potential_energy_scaled(x, params: SquidParams, scales: DerivedScales = None,
+def potential_energy_scaled(x, params: SquidParams, scales: DerivedScales,
                             frame="oscillator"):
     """Dimensionless potential in units of hbar*omega at dimensionless position x.
 
@@ -87,8 +87,6 @@ def potential_energy_scaled(x, params: SquidParams, scales: DerivedScales = None
     the number-basis Hamiltonian, where the bias enters as a cosine phase);
     frame="flux" keeps the physical flux origin, x = sqrt(C*omega/hbar)*Phi.
     """
-    if scales is None:
-        scales = derive_scales(params)
     x = np.asarray(x, dtype=float)
     if frame == "oscillator":
         arg = np.sqrt(2.0) * scales.cosine_scale_k * x + 2.0 * np.pi * params.bias_flux
@@ -108,14 +106,12 @@ class Well:
     curvature: float  # d2u/dx2 at the minimum
 
 
-def find_potential_wells(params: SquidParams, scales: DerivedScales = None):
+def find_potential_wells(params: SquidParams, scales: DerivedScales):
     """Locate all local minima of the potential, left to right.
 
     A coarse scan with spacing 1e-3 of a flux quantum brackets each minimum,
     which is then refined by 1-D minimisation.
     """
-    if scales is None:
-        scales = derive_scales(params)
     period = scales.flux_quantum_in_x
     # local minima can only exist where the parabola slope can be balanced
     reach = scales.nu_over_omega * np.sqrt(2.0) * scales.cosine_scale_k
@@ -151,11 +147,9 @@ def barrier_between(params, scales, x_left, x_right):
     return float(res.x), float(-res.fun)
 
 
-def build_fock_hamiltonian(params: SquidParams, scales: DerivedScales = None,
+def build_fock_hamiltonian(params: SquidParams, scales: DerivedScales,
                            dim: int = DEFAULT_DIM):
     """Number-basis Hamiltonian in units of hbar*omega (real symmetric)."""
-    if scales is None:
-        scales = derive_scales(params)
     h = np.diag(np.arange(dim) + 0.5)
     cos = cosine_operator(dim, scales.cosine_scale_k,
                           2.0 * np.pi * params.bias_flux)
@@ -182,20 +176,14 @@ class FluxGridHamiltonian:
         )
 
 
-def default_flux_grid(params: SquidParams, scales: DerivedScales = None):
+def default_flux_grid(params: SquidParams, scales: DerivedScales):
     """Uniform dimensionless grid of FLUX_GRID_POINTS points with walls
     FLUX_GRID_PADDING_QUANTA flux quanta beyond the outermost potential
-    well."""
-    if scales is None:
-        scales = derive_scales(params)
+    well (the scan always finds the global minimum)."""
     wells = find_potential_wells(params, scales)
-    period = scales.flux_quantum_in_x
-    if wells:
-        lo, hi = wells[0].position, wells[-1].position
-    else:
-        lo = hi = 0.0
-    return np.linspace(lo - FLUX_GRID_PADDING_QUANTA * period,
-                       hi + FLUX_GRID_PADDING_QUANTA * period, FLUX_GRID_POINTS)
+    pad = FLUX_GRID_PADDING_QUANTA * scales.flux_quantum_in_x
+    return np.linspace(wells[0].position - pad, wells[-1].position + pad,
+                       FLUX_GRID_POINTS)
 
 
 def build_flux_grid_hamiltonian(params: SquidParams, grid=None,

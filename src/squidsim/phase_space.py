@@ -203,21 +203,18 @@ def _trapezoid_weights(n):
 class PhaseSpaceDiagnostics:
     normalization: float
     x_marginal: np.ndarray
-    p_marginal: np.ndarray
     negativity_volume: float
     fringe_amplitude: float | None
     purity_estimate: float
-    purity_exact: float | None = None
 
 
-def phase_space_diagnostics(field: PhaseSpaceField, state=None):
-    """Normalisation, marginals, negativity volume, interference fringe
-    amplitude and a purity estimate for a Wigner field.
+def phase_space_diagnostics(field: PhaseSpaceField):
+    """Normalisation, x-marginal, negativity volume, interference fringe
+    amplitude and the purity estimate 2*pi*integral(W^2) of a Wigner field.
 
     The fringe amplitude is the largest |W| inside the central half of the
     band between the two dominant density lobes; it is None when the
-    x-marginal has a single lobe.  Passing the source state adds the exact
-    trace(rho^2) for comparison with 2*pi*integral(W^2).
+    x-marginal has a single lobe.
     """
     if field.kind != "wigner":
         raise ParameterError(
@@ -228,19 +225,14 @@ def phase_space_diagnostics(field: PhaseSpaceField, state=None):
     area = field.dx * field.dp
     normalization = float(weighted.sum() * area)
     x_marginal = (field.values * w_p[None, :]).sum(axis=1) * field.dp
-    p_marginal = (field.values * w_x[:, None]).sum(axis=0) * field.dx
     negativity = float(
         (np.maximum(-field.values, 0.0) * w_x[:, None] * w_p[None, :]).sum() * area)
     purity_estimate = float(
         2.0 * np.pi * (field.values ** 2 * w_x[:, None] * w_p[None, :]).sum() * area)
 
     fringe = _fringe_amplitude(field, x_marginal)
-
-    purity_exact = (None if state is None
-                    else float(np.sum(_state_weights(state)[0] ** 2)))
-    return PhaseSpaceDiagnostics(normalization, x_marginal, p_marginal,
-                                 negativity, fringe, purity_estimate,
-                                 purity_exact)
+    return PhaseSpaceDiagnostics(normalization, x_marginal, negativity,
+                                 fringe, purity_estimate)
 
 
 def _fringe_amplitude(field, x_marginal):

@@ -533,11 +533,8 @@ def _propagation_health(traj):
 
 def _run_decohere_cat(spec):
     scales, h, psi = _resolve_state(spec)
-    stride = spec.run.snapshot_stride
-    if stride is None:
-        # default to ten field snapshots across the run
-        stride = max(1, int(round(spec.run.tau_max / spec.run.dtau / 10)))
-    traj = _propagate(spec, spec.bath, scales, h, psi, stride)
+    traj = _propagate(spec, spec.bath, scales, h, psi,
+                      spec.run.snapshot_stride)
     tables = {"trajectory.csv": (list(traj.COLUMNS), traj.as_table())}
     x, p = spec.grid.x_axis(), spec.grid.p_axis()
     # the factored snapshots go straight to the kernels, never dense

@@ -16,7 +16,6 @@ from scipy.special import gammaln
 from .errors import DegeneracyError, ParameterError, TruncationError
 from .hamiltonian import SpectralResult, barrier_between, find_potential_wells
 from .operators import _check_dim, quadrature_operators
-from .params import derive_scales
 
 __all__ = [
     "hermite_functions",
@@ -80,27 +79,23 @@ def position_wavefunction(psi, x):
     basis state, where the truncated basis cannot represent anything.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 2:
-        psi = psi.ravel()
-    _check_finite(psi)
+    columns = psi if psi.ndim == 2 else psi.reshape(-1, 1)
+    _check_finite(columns)
     x = np.asarray(x, dtype=float)
-    dim = psi.shape[0]
+    dim = columns.shape[0]
     support = np.sqrt(2.0 * (dim - 1) + 1.0)
     if np.max(np.abs(x)) > support:
         warnings.warn(
             f"grid reaches |x| = {np.max(np.abs(x)):.3g}, beyond the "
             f"truncation-supported region |x| <= {support:.3g}",
             stacklevel=2)
-    table = hermite_functions(dim - 1, x)
-    if psi.ndim == 1:
-        return table @ psi
-    # one product per column rounds exactly as the vector form does; a
-    # single matrix product would not, nor would the column-major layout
-    table = table.astype(complex, order="C")
-    out = np.empty((table.shape[0], psi.shape[1]), dtype=complex)
-    for k in range(psi.shape[1]):
-        out[:, k] = table @ psi[:, k]
-    return out
+    # one product per column rounds exactly as a single-state product does;
+    # a single matrix product would not, nor would the column-major layout
+    table = hermite_functions(dim - 1, x).astype(complex, order="C")
+    out = np.empty((table.shape[0], columns.shape[1]), dtype=complex)
+    for k in range(columns.shape[1]):
+        out[:, k] = table @ columns[:, k]
+    return out if psi.ndim == 2 else out[:, 0]
 
 
 @dataclass(frozen=True)
@@ -167,16 +162,13 @@ def phase_superposition(psi1, psi2, theta):
     return out / np.linalg.norm(out)
 
 
-def parity_pair(spectral: SpectralResult, params, scales=None,
-                indices=(0, 1)):
+def parity_pair(spectral: SpectralResult, params, scales, indices=(0, 1)):
     """Symmetric/antisymmetric pair from two near-degenerate eigenstates.
 
     Returns (s, a) where s is the even-parity member.  Both signs are fixed
     by requiring a positive wavefunction value at the left well, so that
     (s + a)/sqrt(2) localises in the left well.
     """
-    if scales is None:
-        scales = derive_scales(params)
     wells = find_potential_wells(params, scales)
     if len(wells) < 2:
         raise ParameterError("parity pair needs a potential with >= 2 wells")
@@ -235,7 +227,7 @@ class WellClassification:
         return [l for l in self.labels if l.kind == "pair"]
 
 
-def classify_well_states(spectral: SpectralResult, params, scales=None):
+def classify_well_states(spectral: SpectralResult, params, scales):
     """Assign (well, level ordinal) labels to eigenstates below the barriers.
 
     Two adjacent states form a tunnelling doublet when their gap is small
@@ -248,8 +240,6 @@ def classify_well_states(spectral: SpectralResult, params, scales=None):
     symmetric member lies lower) when the well shapes differ.  States above
     every barrier are labelled "delocalized".
     """
-    if scales is None:
-        scales = derive_scales(params)
     wells = find_potential_wells(params, scales)
     if not wells:
         raise ParameterError("potential has no local minimum in the scanned region")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import squidsim as sq
-from squidsim import CODATA2018
+from squidsim import BathParams, CODATA2018
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,19 @@ def spectral_05():
     scales = sq.derive_scales(ring)
     h = sq.build_fock_hamiltonian(ring, scales, 400)
     return ring, scales, h, sq.eigensolve(h)
+
+
+@pytest.fixture(scope="session")
+def thermalization_run():
+    """(bath, trajectory) of the coherent state alpha = i on the E_J = 0
+    ring, dim 32, relaxing to a T = 1 K bath at g = 0.05 until tau = 200."""
+    ring = sq.SquidParams(5e-15, 3e-10, 0.0)
+    scales = sq.derive_scales(ring)
+    h = sq.build_fock_hamiltonian(ring, scales, 32)
+    psi = sq.coherent_state(1j, 32)
+    bath = BathParams(temperature=1.0, damping=0.05).resolved(scales)
+    return bath, sq.propagate(np.outer(psi, psi.conj()), h, bath, dtau=0.005,
+                              tau_max=200.0, record_stride=100)
 
 
 @pytest.fixture(scope="session")

@@ -219,7 +219,7 @@ def test_criterion_08_cat_structure(spectral_049):
     cat = sq.phase_superposition(v0, v1, 0.0)
     x = np.linspace(-16, 16, 257)
     fld = sq.wigner_function(cat, x, x)
-    diag = sq.phase_space_diagnostics(fld, cat)
+    diag = sq.phase_space_diagnostics(fld)
 
     # two lobes at the potential minima
     marg = diag.x_marginal
@@ -239,7 +239,7 @@ def test_criterion_08_cat_structure(spectral_049):
 
     assert diag.purity_estimate == pytest.approx(1.0, abs=1e-3)
     mix = 0.5 * (np.outer(v0, v0) + np.outer(v1, v1)).astype(complex)
-    dmix = sq.phase_space_diagnostics(sq.wigner_function(mix, x, x), mix)
+    dmix = sq.phase_space_diagnostics(sq.wigner_function(mix, x, x))
     assert dmix.purity_estimate == pytest.approx(0.5, abs=0.02)
     report(8, "cat structure",
            f"lobe sep {lobe_sep:.3f} vs wells {well_sep:.3f} "
@@ -248,18 +248,12 @@ def test_criterion_08_cat_structure(spectral_049):
            f"vs {dmix.purity_estimate:.4f}")
 
 
-def test_criterion_09_lindblad_integrity(decohere_run, squeeze_runs):
+def test_criterion_09_lindblad_integrity(thermalization_run, decohere_run,
+                                         squeeze_runs):
     # thermalization of the harmonic ring to the bath occupation
-    ring = sq.SquidParams(5e-15, 3e-10, 0.0)
-    scales = sq.derive_scales(ring)
-    dim = 32
-    h = sq.build_fock_hamiltonian(ring, scales, dim)
-    psi = sq.coherent_state(1j, dim)
-    bath = BathParams(temperature=1.0, damping=0.05).resolved(scales)
+    bath, therm = thermalization_run
     m_occ = sq.bath_occupation(bath)
     assert m_occ == pytest.approx(1.96e-3, rel=5e-3)
-    therm = sq.propagate(np.outer(psi, psi.conj()), h, bath, dtau=0.005,
-                         tau_max=200.0, record_stride=100, snapshot_stride=10000)
     assert abs(therm.occupation[-1] - m_occ) < 1e-3
 
     # closed-system purity and energy conservation in the squeezing ring

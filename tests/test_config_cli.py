@@ -595,6 +595,20 @@ def test_cli_truncation_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_leak_past_kept_levels_exit_code(tmp_path, capsys):
+    # a T = 20 K bath pumps 1.7e-5 of the population past the kept levels
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("squid.josephson_energy_j = 0\nbath.temperature_k = 20\n"
+                   "bath.damping = 0.05\nstate.kind = coherent\n"
+                   "state.alpha_im = 1\nrun.dim = 48\nrun.tau_max = 10\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = cli_main(["evolve", "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    assert "kept energy levels" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_propagation_health_in_metadata(tmp_path):
     spec = sq.builtin_scenario("squeeze", {
         "run.dim": "60", "run.tau_max": "0.1", "run.record_stride": "5"})

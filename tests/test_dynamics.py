@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import squidsim as sq
-from squidsim import BathParams, CODATA2018, ParameterError, StepSizeError
+from squidsim import (BathParams, CODATA2018, ParameterError, StepSizeError,
+                      TruncationError)
 from conftest import moments
 
 
@@ -133,16 +134,8 @@ def test_propagator_matches_reference_generator():
     assert np.max(np.abs(traj.snapshots[-1].dense() - expected)) < 1e-13
 
 
-def test_thermalization_to_bath_occupation():
-    ring = sq.SquidParams(5e-15, 3e-10, 0.0)
-    scales = sq.derive_scales(ring)
-    dim = 32
-    h = sq.build_fock_hamiltonian(ring, scales, dim)
-    psi = sq.coherent_state(1j, dim)
-    rho0 = np.outer(psi, psi.conj())
-    bath = BathParams(temperature=1.0, damping=0.05).resolved(scales)
-    traj = sq.propagate(rho0, h, bath, dtau=0.005, tau_max=200.0,
-                        record_stride=100)
+def test_thermalization_to_bath_occupation(thermalization_run):
+    bath, traj = thermalization_run
     m_occ = sq.bath_occupation(bath)
     assert abs(traj.occupation[-1] - m_occ) < 1e-3
     assert traj.max_trace_correction < 1e-8
@@ -153,6 +146,31 @@ def test_thermalization_to_bath_occupation():
     slope = np.polyfit(traj.times[mask],
                        np.log(traj.occupation[mask] - m_occ + 1e-300), 1)[0]
     assert -slope == pytest.approx(0.05, rel=0.03)
+
+    # exact damped oscillator: the coherent state alpha = i stays a
+    # displaced thermal state, <a> = alpha exp(-(i + g/2) tau)
+    tau, g, alpha = traj.times, bath.damping, 1j
+    mean_a = alpha * np.exp(-(1j + 0.5 * g) * tau)
+    heat = m_occ * (1.0 - np.exp(-g * tau))
+    assert np.max(np.abs(traj.mean_x - math.sqrt(2.0) * mean_a.real)) < 1e-9
+    assert np.max(np.abs(traj.mean_p - math.sqrt(2.0) * mean_a.imag)) < 1e-9
+    assert np.max(np.abs(traj.var_x - (0.5 + heat))) < 1e-8
+    assert np.max(np.abs(traj.var_p - (0.5 + heat))) < 1e-8
+    occupation = abs(alpha) ** 2 * np.exp(-g * tau) + heat
+    assert np.max(np.abs(traj.occupation - occupation)) < 1e-12
+
+
+def test_hot_bath_leak_past_kept_levels_raises():
+    # at T = 20 K (M = 2.7) the bath pumps population up the ladder past
+    # the 24 levels the first-order leak bound keeps: 1.7e-5 leaks out
+    ring = sq.SquidParams(5e-15, 3e-10, 0.0)
+    scales = sq.derive_scales(ring)
+    h = sq.build_fock_hamiltonian(ring, scales, 48)
+    psi = sq.coherent_state(1j, 48)
+    bath = BathParams(temperature=20.0, damping=0.05).resolved(scales)
+    with pytest.raises(TruncationError, match="kept energy levels"):
+        sq.propagate(np.outer(psi, psi.conj()), h, bath, dtau=0.005,
+                     tau_max=10.0, record_stride=100)
 
 
 def test_closed_system_purity_and_energy():

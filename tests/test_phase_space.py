@@ -47,7 +47,7 @@ def test_wigner_normalization_and_marginal(spectral_049):
                                  res.eigenvectors[:, 1], 0.0)
     x = np.linspace(-16, 16, 257)
     fld = sq.wigner_function(cat, x, x)
-    diag = sq.phase_space_diagnostics(fld, cat)
+    diag = sq.phase_space_diagnostics(fld)
     assert diag.normalization == pytest.approx(1.0, abs=1e-4)
     density = np.abs(sq.position_wavefunction(cat, x)) ** 2
     assert np.max(np.abs(diag.x_marginal - density)) < 1e-5
@@ -76,14 +76,27 @@ def test_density_matrix_validation():
         sq.wigner_function(np.diag([0.7, 0.7]).astype(complex), x, p)
 
 
-@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def bad_state(kind):
+    """A state vector with one NaN or infinite amplitude, an all-NaN or zero
+    vector or an all-NaN density matrix."""
+    if kind == "nan-vector":
+        return np.full(16, np.nan, dtype=complex)
+    if kind == "zero-vector":
+        return np.zeros(16, dtype=complex)
+    if kind == "nan-matrix":
+        return np.full((16, 16), np.nan, dtype=complex)
+    psi = sq.coherent_state(0.5, 16)
+    psi[3] = float(kind)
+    return psi
+
+
+@pytest.mark.parametrize("poison", ["nan", "inf", "nan-vector", "zero-vector",
+                                    "nan-matrix"])
 @pytest.mark.parametrize("field", [sq.wigner_function, sq.weyl_function])
 def test_non_finite_state_vector_rejected(field, poison):
-    psi = sq.coherent_state(0.5, 16)
-    psi[3] = poison
     x, p = axes(4.0, 33)
     with pytest.raises(ParameterError):
-        field(psi, x, p)
+        field(bad_state(poison), x, p)
 
 
 def test_two_gaussian_cat_fringe_wavevector():
@@ -214,23 +227,10 @@ def test_diagnostics_vacuum():
     x, p = axes()
     psi = sq.fock_state(0, 48)
     fld = sq.wigner_function(psi, x, p)
-    diag = sq.phase_space_diagnostics(fld, psi)
+    diag = sq.phase_space_diagnostics(fld)
     assert diag.negativity_volume <= 1e-6
     assert diag.purity_estimate == pytest.approx(1.0, abs=1e-3)
-    assert diag.purity_exact == 1.0
     assert diag.fringe_amplitude is None
-
-
-@pytest.mark.parametrize("state", [
-    np.full(16, np.nan, dtype=complex),
-    np.zeros(16, dtype=complex),
-    np.full((16, 16), np.nan, dtype=complex),
-], ids=["nan-vector", "zero-vector", "nan-matrix"])
-def test_diagnostics_reject_bad_state(state):
-    x, p = axes()
-    fld = sq.wigner_function(sq.fock_state(0, 16), x, p)
-    with pytest.raises(ParameterError):
-        sq.phase_space_diagnostics(fld, state)
 
 
 def test_diagnostics_fock1_most_negative_point():
@@ -254,14 +254,13 @@ def test_cat_purity_versus_mixture(spectral_049):
     cat = sq.phase_superposition(v0, v1, 0.5)
     x = np.linspace(-16, 16, 257)
     fld = sq.wigner_function(cat, x, x)
-    diag = sq.phase_space_diagnostics(fld, cat)
+    diag = sq.phase_space_diagnostics(fld)
     assert diag.purity_estimate == pytest.approx(1.0, abs=1e-3)
 
     mix = 0.5 * (np.outer(v0, v0) + np.outer(v1, v1)).astype(complex)
     fmix = sq.wigner_function(mix, x, x)
-    dmix = sq.phase_space_diagnostics(fmix, mix)
+    dmix = sq.phase_space_diagnostics(fmix)
     assert dmix.purity_estimate == pytest.approx(0.5, abs=0.02)
-    assert dmix.purity_exact == pytest.approx(0.5, abs=1e-10)
     # interference collapses in the mixture
     assert dmix.fringe_amplitude < 0.1 * diag.fringe_amplitude
 
@@ -285,9 +284,6 @@ def test_mixed_state_fields_match_its_dense_matrix():
         factored = field_fn(state, x, p)
         dense = field_fn(state.dense(), x, p)
         assert np.max(np.abs(factored.values - dense.values)) <= 1e-12
-    wig = sq.wigner_function(state, x, p)
-    assert sq.phase_space_diagnostics(wig, state).purity_exact == pytest.approx(
-        sq.phase_space_diagnostics(wig, state.dense()).purity_exact, abs=1e-12)
 
 
 def test_mixed_state_factors_are_used_as_given():
