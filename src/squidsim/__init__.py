@@ -7,21 +7,6 @@ squeezing of coherent states, plus a scenario CLI that emits CSV datasets.
 
 __version__ = "0.1.0"
 
-import os
-
-
-def _apply_thread_override():
-    """Copy SQUIDSIM_THREADS into the BLAS thread variables left unset."""
-    threads = os.environ.get("SQUIDSIM_THREADS")
-    if threads:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
-
-# SQUIDSIM_THREADS must reach the BLAS variables before numpy is loaded
-_apply_thread_override()
-
 from .errors import (ConfigError, DegeneracyError, GridResolutionError,
                      ParameterError, PositivityWarning, SquidSimError,
                      StepSizeError, TruncationError)

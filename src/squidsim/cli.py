@@ -2,9 +2,7 @@
 
 Each subcommand NAME is shorthand for `squidsim scenario NAME`.  Exit codes:
 0 success, 2 configuration error, 3 convergence failure, 4 I/O error.
-Library warnings are reported as one `squidsim: warning:` line each.  The
-environment variable SQUIDSIM_THREADS caps the linear algebra thread count;
-the package applies it on import, before numpy is loaded.
+Library warnings are reported as one `squidsim: warning:` line each.
 """
 
 import argparse

@@ -80,10 +80,10 @@ def bath_occupation(bath: BathParams):
     """Mean bath occupation M = 1/(exp(hbar*w_b/(kB*T)) - 1); 0 at T = 0."""
     if bath.frequency is None:
         raise ParameterError("bath frequency unresolved; call resolved() first")
-    if bath.temperature == 0.0:
-        return 0.0
-    ratio = (CODATA2018.hbar * bath.frequency
-             / (CODATA2018.boltzmann * bath.temperature))
+    thermal = CODATA2018.boltzmann * bath.temperature
+    ratio = CODATA2018.hbar * bath.frequency / thermal if thermal else math.inf
+    if ratio > 700.0:   # expm1 overflows near 710; M is exp(-ratio) there
+        return math.exp(-ratio)
     return 1.0 / math.expm1(ratio)
 
 

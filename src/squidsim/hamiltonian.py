@@ -186,6 +186,18 @@ def default_flux_grid(params: SquidParams, scales: DerivedScales):
                        FLUX_GRID_POINTS)
 
 
+def _uniform_grid(grid, name):
+    """`grid` as a float array; ParameterError below 2 points and
+    GridResolutionError unless its steps are equal and positive."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ParameterError(f"{name} grid must be a 1-D array with >= 2 points")
+    step = grid[1] - grid[0]
+    if step <= 0.0 or not np.allclose(np.diff(grid), step, rtol=1e-9, atol=0.0):
+        raise GridResolutionError(f"{name} grid must be uniform and increasing")
+    return grid
+
+
 def build_flux_grid_hamiltonian(params: SquidParams, grid=None,
                                 scales: DerivedScales = None,
                                 frame="oscillator"):
@@ -194,7 +206,8 @@ def build_flux_grid_hamiltonian(params: SquidParams, grid=None,
     Parameters
     ----------
     grid : ndarray, optional
-        Uniform dimensionless positions; defaults to :func:`default_flux_grid`.
+        Uniform increasing dimensionless positions, at least two;
+        defaults to :func:`default_flux_grid`.
     frame : str
         "oscillator" (parabola at the origin, bias inside the cosine) or
         "flux" (physical flux coordinate); the two are related by a unitary
@@ -207,10 +220,8 @@ def build_flux_grid_hamiltonian(params: SquidParams, grid=None,
         scales = derive_scales(params)
     if grid is None:
         grid = default_flux_grid(params, scales)
-    grid = np.asarray(grid, dtype=float)
+    grid = _uniform_grid(grid, "flux")
     dx = grid[1] - grid[0]
-    if not np.allclose(np.diff(grid), dx, rtol=1e-9, atol=0.0):
-        raise GridResolutionError("flux grid must be uniformly spaced")
 
     u = potential_energy_scaled(grid, params, scales, frame=frame)
     p_max = np.sqrt(2.0 * max(float(u.max() - u.min()), 1.0))

@@ -22,6 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridResolutionError, ParameterError
+from .hamiltonian import _uniform_grid
 from .operators import hermiticity_defect
 from .states import MixedState, _as_state, hermite_functions
 
@@ -56,16 +57,6 @@ class PhaseSpaceField:
     def __post_init__(self):
         self.dx = float(self.x[1] - self.x[0])
         self.dp = float(self.p[1] - self.p[0])
-
-
-def _uniform_step(grid, name):
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ParameterError(f"{name} grid must be a 1-D array with >= 2 points")
-    step = grid[1] - grid[0]
-    if step <= 0.0 or not np.allclose(np.diff(grid), step, rtol=1e-9, atol=0.0):
-        raise GridResolutionError(f"{name} grid must be uniform and increasing")
-    return grid, float(step)
 
 
 def _state_weights(state):
@@ -163,8 +154,8 @@ def wigner_function(state, x, p):
     is recorded on the field.  Raises GridResolutionError when the grid
     fails to cover the populated phase-space region.
     """
-    x, _ = _uniform_step(x, "x")
-    p, _ = _uniform_step(p, "p")
+    x = _uniform_grid(x, "x")
+    p = _uniform_grid(p, "p")
     weights, vectors = _state_weights(state)
     reach = _support_reach(weights, vectors)
     _check_cover(x, reach, "x")
@@ -183,8 +174,8 @@ def weyl_function(state, x, p):
     number parity (-1)^n at half the arguments (Royer 1977),
     Wt(X, P) = W_{rho Pi}(X/2, P/2) / 2, so it shares the Wigner lattice.
     """
-    x, _ = _uniform_step(x, "X")
-    p, _ = _uniform_step(p, "P")
+    x = _uniform_grid(x, "X")
+    p = _uniform_grid(p, "P")
     weights, vectors = _state_weights(state)
     parity = (-1.0) ** np.arange(vectors.shape[0])
     values = 0.5 * _chord_transform(weights, vectors, parity[:, None] * vectors,

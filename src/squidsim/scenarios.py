@@ -2,12 +2,11 @@
 
 A ScenarioSpec converts to and from a flat {"section.key": "value"} mapping
 through one key table, _KEYS.  Keys named after a field of the state, grid,
-sweep or run dataclass are derived from it; the others (units in the name,
-one component of a complex amplitude or of an index pair) have explicit
-rows.  A key overrides only its own field of the base spec.  Numbers must
-be finite, counts at least 1, grids and the basis at least 2 points wide,
-steps positive and indices below the basis size; anything else raises
-ConfigError.
+sweep or run dataclass are derived from it; the others, the scenario name
+and keys whose names carry a unit, have explicit rows.  A key overrides
+only its own field of the base spec.  Numbers must be finite, counts at
+least 1, grids and the basis at least 2 points wide, steps positive and
+indices below the basis size; anything else raises ConfigError.
 
 SCENARIOS maps each scenario name, the CLI subcommands included, to its
 default spec and its runner.  A runner returns named tables, (columns,
@@ -71,9 +70,11 @@ class GridSpec:
 class StateRecipe:
     kind: str = "eigenstate"      # one of STATE_KINDS
     index: int = 0
-    alpha: complex = 0j
+    alpha_re: float = 0.0         # coherent amplitude
+    alpha_im: float = 0.0
     theta: float = 0.0
-    pair: tuple = (0, 1)
+    pair_a: int = 0               # doublet of a superposition
+    pair_b: int = 1
 
 
 @dataclass(frozen=True)
@@ -146,15 +147,7 @@ class ScenarioSpec:
                 value = key.parse(text)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {name}: {text!r}") from exc
-            fields = edits.setdefault(key.section, {})
-            if key.part is not None:
-                old = fields.get(key.field,
-                                 getattr(getattr(base, key.section), key.field))
-                parts = _split(old)
-                parts[key.part] = value
-                value = (tuple(parts) if isinstance(old, (tuple, list))
-                         else complex(*parts))
-            fields[key.field] = value
+            edits.setdefault(key.section, {})[key.field] = value
         try:
             sections = {section: dataclasses.replace(
                             getattr(base, section) or _NEW_BATH, **fields)
@@ -175,14 +168,6 @@ def _energy_from_current(text):
     """Josephson energy (joule) of a junction with critical current `text`."""
     return SquidParams.from_critical_current(
         1.0, 1.0, _finite_float(text)).josephson_energy
-
-
-def _split(value):
-    """Components of a complex amplitude or an index pair, as a list."""
-    if isinstance(value, (tuple, list)):
-        return list(value)
-    value = complex(value)
-    return [value.real, value.imag]
 
 
 def _between(low, high=lambda spec: math.inf):
@@ -221,17 +206,13 @@ class _Key:
     section: str | None       # ScenarioSpec attribute; None: the spec itself
     field: str                # attribute of the section
     parse: object = _finite_float   # text -> value; raises ValueError
-    part: int | None = None   # component of a complex or pair field
     check: object = None      # (value, spec) -> None, or the allowed range
     emit: bool = True         # written by to_flat
 
     def read(self, spec):
         """This key's value in `spec`; None where the spec leaves it unset."""
         owner = spec if self.section is None else getattr(spec, self.section)
-        value = None if owner is None else getattr(owner, self.field)
-        if self.part is None or value is None:
-            return value
-        return _split(value)[self.part]
+        return None if owner is None else getattr(owner, self.field)
 
 
 _EXPLICIT_KEYS = (
@@ -245,15 +226,13 @@ _EXPLICIT_KEYS = (
     _Key("bath.temperature_k", "bath", "temperature"),
     _Key("bath.damping", "bath", "damping"),
     _Key("bath.frequency_rad_s", "bath", "frequency"),
-    _Key("state.alpha_re", "state", "alpha", part=0),
-    _Key("state.alpha_im", "state", "alpha", part=1),
     _Key("state.theta_rad", "state", "theta"),
-    _Key("state.pair_a", "state", "pair", int, part=0, check=_basis_index),
-    _Key("state.pair_b", "state", "pair", int, part=1, check=_basis_index),
 )
 _PARSERS = {float: _finite_float, int: int, int | None: int, str: str}
 # fields whose range is not just "a count >= 1" or "anything finite"
 _FIELD_CHECKS = {("state", "kind"): _state_kind, ("state", "index"): _basis_index,
+                 ("state", "pair_a"): _basis_index,
+                 ("state", "pair_b"): _basis_index,
                  ("grid", "x_points"): _points, ("grid", "p_points"): _points,
                  ("grid", "x_max"): _above(lambda spec: spec.grid.x_min),
                  ("grid", "p_max"): _above(lambda spec: spec.grid.p_min),
@@ -364,6 +343,7 @@ def _field_table(field_obj: PhaseSpaceField):
 
 
 def _field_descriptor(field_obj, spec):
+    state = spec.state
     return {
         "kind": field_obj.kind,
         "x_min": float(field_obj.x[0]), "x_max": float(field_obj.x[-1]),
@@ -371,8 +351,9 @@ def _field_descriptor(field_obj, spec):
         "p_min": float(field_obj.p[0]), "p_max": float(field_obj.p[-1]),
         "p_points": len(field_obj.p),
         "imag_residual": field_obj.imag_residual,
-        "state": dataclasses.asdict(spec.state) | {
-            "alpha": repr(spec.state.alpha)},
+        "state": {"kind": state.kind, "index": state.index,
+                  "alpha": repr(complex(state.alpha_re, state.alpha_im)),
+                  "theta": state.theta, "pair": [state.pair_a, state.pair_b]},
     }
 
 
@@ -394,7 +375,7 @@ def _ring_hamiltonian(spec):
 def _superposition_states(spec, scales, h):
     """(s, a) members used by the superposition scenarios."""
     spectral = eigensolve(h)
-    i, j = spec.state.pair
+    i, j = spec.state.pair_a, spec.state.pair_b
     try:
         return parity_pair(spectral, spec.squid, scales, indices=(i, j))
     except (DegeneracyError, ParameterError):
@@ -407,7 +388,8 @@ def _resolve_state(spec):
     """Scales, Hamiltonian and the state vector requested by spec.state."""
     scales, h = _ring_hamiltonian(spec)
     if spec.state.kind == "coherent":
-        psi = coherent_state(spec.state.alpha, spec.run.dim)
+        psi = coherent_state(complex(spec.state.alpha_re, spec.state.alpha_im),
+                             spec.run.dim)
     elif spec.state.kind == "eigenstate":
         spectral = eigensolve(h, count=spec.state.index + 1)
         psi = spectral.eigenvectors[:, spec.state.index].astype(complex)
@@ -514,12 +496,12 @@ def _run_friedman(spec):
     }
 
 
-def _propagate(spec, bath, scales, h, psi, snapshot_stride):
+def _propagate(spec, bath, scales, h, psi):
     """Thermal-bath evolution of the pure state psi under spec.run."""
     return propagate(np.outer(psi, psi.conj()), h, bath, dtau=spec.run.dtau,
                      tau_max=spec.run.tau_max,
                      record_stride=spec.run.record_stride,
-                     snapshot_stride=snapshot_stride, scales=scales)
+                     snapshot_stride=spec.run.snapshot_stride, scales=scales)
 
 
 def _propagation_health(traj):
@@ -533,8 +515,7 @@ def _propagation_health(traj):
 
 def _run_decohere_cat(spec):
     scales, h, psi = _resolve_state(spec)
-    traj = _propagate(spec, spec.bath, scales, h, psi,
-                      spec.run.snapshot_stride)
+    traj = _propagate(spec, spec.bath, scales, h, psi)
     tables = {"trajectory.csv": (list(traj.COLUMNS), traj.as_table())}
     x, p = spec.grid.x_axis(), spec.grid.p_axis()
     # the factored snapshots go straight to the kernels, never dense
@@ -549,11 +530,12 @@ SQUEEZE_DAMPINGS = (0.0, 0.001, 0.01, 0.1)
 
 
 def _run_squeeze(spec):
+    """One trajectory per damping; snapshots only feed the health keys."""
     scales, h, psi = _resolve_state(spec)
     tables, minima, health = {}, {}, {}
     for g in SQUEEZE_DAMPINGS:
         bath = dataclasses.replace(spec.bath, damping=g)
-        traj = _propagate(spec, bath, scales, h, psi, None)
+        traj = _propagate(spec, bath, scales, h, psi)
         tables[f"trajectory_g{g:g}.csv"] = (list(traj.COLUMNS), traj.as_table())
         minima[f"{g:g}"] = float(np.min(traj.var_x))
         for key, value in _propagation_health(traj).items():
@@ -591,8 +573,7 @@ def _run_evolve(spec):
     if spec.bath is None:
         raise ConfigError("evolve needs bath.* settings")
     scales, h, psi = _resolve_state(spec)
-    traj = _propagate(spec, spec.bath, scales, h, psi,
-                      spec.run.snapshot_stride)
+    traj = _propagate(spec, spec.bath, scales, h, psi)
     tables = {"trajectory.csv": (list(traj.COLUMNS), traj.as_table())}
     for tau, snap in zip(traj.snapshot_times, traj.snapshots):
         rho = snap.dense()
@@ -624,7 +605,7 @@ SCENARIOS = dict([
                              snapshot_stride=600)),
     _builtin("squeeze", _run_squeeze, squeeze_ring(),
              bath=BathParams(temperature=1.0, damping=0.0),
-             state=StateRecipe(kind="coherent", alpha=1j),
+             state=StateRecipe(kind="coherent", alpha_im=1.0),
              run=RunSettings(dim=160, tau_max=50.0, record_stride=5)),
     _builtin("spectrum", _run_level_sweep, standard_ring()),
     _builtin("eigenstates", _run_eigenstates, standard_ring()),

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import textwrap
 import warnings
 
 import numpy as np
@@ -53,7 +52,7 @@ def test_spec_flat_round_trip():
     custom = sq.ScenarioSpec(
         name="custom", squid=sq.friedman_ring(),
         bath=sq.BathParams(temperature=0.5, damping=0.02, frequency=1e11),
-        state=sq.StateRecipe(kind="coherent", alpha=0.3 - 0.2j),
+        state=sq.StateRecipe(kind="coherent", alpha_re=0.3, alpha_im=-0.2),
         grid=sq.GridSpec(x_min=-8, x_max=8, x_points=65,
                          p_min=-9, p_max=9, p_points=33),
         sweep=sq.SweepSpec(start=0.4, stop=0.6, step=0.01, levels=4),
@@ -339,45 +338,6 @@ def test_cli_wigner_weyl_and_evolve(tmp_path):
                for n in evolve_files)
 
 
-def test_thread_override_sets_environment(monkeypatch):
-    from squidsim import _apply_thread_override
-    monkeypatch.setenv("SQUIDSIM_THREADS", "1")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    _apply_thread_override()
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-    assert os.environ["OMP_NUM_THREADS"] == "1"
-
-
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS")
-
-
-def test_thread_override_precedes_numpy_import():
-    # a meta-path finder records OPENBLAS_NUM_THREADS when numpy is first
-    # looked up, i.e. before its BLAS pool starts
-    probe = textwrap.dedent("""
-        import os, sys
-        seen = []
-        class Probe:
-            def find_spec(self, name, path=None, target=None):
-                if name == "numpy" and not seen:
-                    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-        sys.meta_path.insert(0, Probe())
-        import squidsim.cli
-        print(seen)
-    """)
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    env["SQUIDSIM_THREADS"] = "1"
-    src = os.path.dirname(os.path.dirname(sq.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=120)
-    assert out.stdout.strip() == "['1']"
-
-
 def test_module_entry_point_runs_without_warning():
     # the package must not import squidsim.cli before `-m` executes it
     env = dict(os.environ)
@@ -632,3 +592,34 @@ def test_propagation_health_in_metadata(tmp_path):
     assert abs(meta["leaked_population"]) < 1e-18
     assert 0.0 < meta["max_hermiticity_defect"] < 1e-9
     assert meta["min_snapshot_eigenvalue"] > -1e-4
+
+
+@pytest.mark.parametrize("name", ["decohere-cat", "evolve", "squeeze"])
+def test_propagating_scenarios_pass_the_snapshot_stride(monkeypatch, name):
+    from squidsim import scenarios
+    propagate, strides = scenarios.propagate, []
+
+    def spy(*args, **kwargs):
+        strides.append(kwargs["snapshot_stride"])
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "propagate", spy)
+    spec = sq.builtin_scenario(name, {
+        "run.dim": "40", "run.tau_max": "0.02", "run.snapshot_stride": "2",
+        "bath.damping": "0.05", "grid.x_points": "9", "grid.p_points": "9"})
+    sq.run_scenario(spec)
+    assert strides and set(strides) == {2}
+
+
+def test_field_descriptor_echoes_the_state_recipe(tmp_path):
+    cfg = tmp_path / "state.cfg"
+    cfg.write_text("state.kind = coherent\nstate.alpha_re = 0.3\n"
+                   "state.alpha_im = -0.2\nstate.pair_a = 2\nstate.pair_b = 3\n"
+                   "grid.x_points = 9\ngrid.p_points = 9\n")
+    out = tmp_path / "out"
+    assert cli_main(["wigner", "--dim", "40", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["fields"]["wigner.csv"]["state"] == {
+        "kind": "coherent", "index": 0, "alpha": "(0.3-0.2j)", "theta": 0.0,
+        "pair": [2, 3]}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import squidsim as sq
 from squidsim import (BathParams, CODATA2018, ParameterError, StepSizeError,
@@ -23,6 +25,11 @@ def test_bath_occupation_limits(standard_scales):
         BathParams(temperature=1.0, damping=0.1).resolved(standard_scales))
     # independent hand evaluation of 1/(exp(hbar omega / kB T) - 1)
     assert m == pytest.approx(1.9603e-3, rel=1e-3)
+    # hbar omega / kB T is about 1,250 at 5 mK, and kB T underflows to 0 at
+    # the smallest positive temperature: neither may overflow or divide by 0
+    for cold in (0.005, 5e-324):
+        assert 0.0 <= sq.bath_occupation(BathParams(
+            temperature=cold, damping=0.1).resolved(standard_scales)) < 1e-300
 
 
 def test_bath_occupation_ln2_point():
@@ -107,6 +114,21 @@ def test_occupation_relaxation_identity():
     assert dn == pytest.approx(-g * (n_mean - m_occ), rel=1e-10, abs=1e-12)
 
 
+def rk4_reference(rho, h, bath, dtau, steps):
+    """`steps` classical RK4 steps of the plain matrix-product generator,
+    each Hermitised and renormalised like the propagator's."""
+    a = sq.annihilation(len(rho))
+    for _ in range(steps):
+        k1 = sq.lindblad_generator(rho, h, a, bath)
+        k2 = sq.lindblad_generator(rho + 0.5 * dtau * k1, h, a, bath)
+        k3 = sq.lindblad_generator(rho + 0.5 * dtau * k2, h, a, bath)
+        k4 = sq.lindblad_generator(rho + dtau * k3, h, a, bath)
+        rho = rho + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+    return rho
+
+
 def test_propagator_matches_reference_generator():
     # one RK4 step of the ladder-structured fast path against the plain
     # matrix-product generator
@@ -116,22 +138,39 @@ def test_propagator_matches_reference_generator():
     h = sq.build_fock_hamiltonian(ring, scales, dim).astype(complex)
     rho = random_density(dim, 21)
     bath = BathParams(temperature=1.0, damping=0.05).resolved(scales)
-    a = sq.annihilation(dim)
     dtau = 1e-3
 
-    def rk4_reference(r):
-        k1 = sq.lindblad_generator(r, h, a, bath)
-        k2 = sq.lindblad_generator(r + 0.5 * dtau * k1, h, a, bath)
-        k3 = sq.lindblad_generator(r + 0.5 * dtau * k2, h, a, bath)
-        k4 = sq.lindblad_generator(r + dtau * k3, h, a, bath)
-        out = r + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out = 0.5 * (out + out.conj().T)
-        return out / np.trace(out).real
-
-    expected = rk4_reference(rho.astype(complex))
+    expected = rk4_reference(rho.astype(complex), h, bath, dtau, 1)
     traj = sq.propagate(rho, h, bath, dtau=dtau, tau_max=dtau,
                         snapshot_stride=1)
     assert np.max(np.abs(traj.snapshots[-1].dense() - expected)) < 1e-13
+
+
+@settings(deadline=None, max_examples=60)
+@given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       norm=st.floats(0.1, 5.0),
+       damping=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+       temperature=st.floats(0.0, 5.0), frequency=st.floats(1e11, 1e13),
+       dtau=st.floats(1e-3, 0.05), steps=st.integers(1, 19))
+def test_propagator_matches_reference_generator_on_random_systems(
+        dim, seed, norm, damping, temperature, frequency, dtau, steps):
+    # a random Hermitian H on a random full-rank rho0: every energy level
+    # starts populated, so the propagator keeps all of them and must follow
+    # the number-basis equation step for step
+    rng = np.random.default_rng(seed)
+    m, w = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+    h = m + m.conj().T
+    h *= norm / np.linalg.norm(h, 2)
+    rho = w @ w.conj().T
+    rho = 0.9 * rho / np.trace(rho).real + 0.1 * np.eye(dim) / dim
+    bath = BathParams(temperature=temperature, damping=damping,
+                      frequency=frequency)
+
+    expected = rk4_reference(rho.astype(complex), h, bath, dtau, steps)
+    traj = sq.propagate(rho, h, bath, dtau=dtau, tau_max=steps * dtau,
+                        snapshot_stride=steps)
+    assert traj.energy_levels_kept == dim
+    assert np.max(np.abs(traj.snapshots[-1].dense() - expected)) < 1e-12
 
 
 def test_thermalization_to_bath_occupation(thermalization_run):

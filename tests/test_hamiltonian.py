@@ -74,6 +74,16 @@ def test_grid_must_be_uniform():
         sq.build_flux_grid_hamiltonian(ring, grid=bad)
 
 
+@pytest.mark.parametrize("grid, error", [
+    (np.array([]), ParameterError),
+    (np.array([0.0]), ParameterError),
+    (np.linspace(30, -30, 2001), GridResolutionError),
+], ids=["empty", "one-point", "decreasing"])
+def test_flux_grid_needs_two_increasing_points(grid, error):
+    with pytest.raises(error):
+        sq.build_flux_grid_hamiltonian(sq.standard_ring(), grid=grid)
+
+
 def test_grid_too_coarse_rejected():
     ring = sq.standard_ring()
     with pytest.raises(GridResolutionError):
