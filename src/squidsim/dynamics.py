@@ -114,20 +114,21 @@ def lindblad_generator(rho, hamiltonian, a, bath: BathParams):
 
 
 def _ladder_moments(first, second, diag_n):
-    """Quadrature moments from the contractions <a>, <a^2> and <a†a>."""
+    """(mean_x, mean_p, var_x, var_p, occupation) from the contractions
+    <a>, <a^2> and <a†a>."""
     mean_x = math.sqrt(2.0) * first.real
     mean_p = math.sqrt(2.0) * first.imag
     # x^2 = (a^2 + a†^2 + 2 a†a + 1)/2, p^2 likewise with a sign on a^2 terms
     x2 = (2.0 * second.real + 2.0 * diag_n + 1.0) / 2.0
     p2 = (-2.0 * second.real + 2.0 * diag_n + 1.0) / 2.0
-    return {"mean_x": mean_x, "mean_p": mean_p, "var_x": x2 - mean_x**2,
-            "var_p": p2 - mean_p**2, "occupation": diag_n}
+    return mean_x, mean_p, x2 - mean_x**2, p2 - mean_p**2, diag_n
 
 
 @dataclass
 class Trajectory:
     """Observable time series (and optional snapshots) of a Lindblad run.
 
+    The eight series, times first, are the columns of COLUMNS in order.
     snapshots holds one factored MixedState per snapshot time (rank at most
     the kept level count K); call dense() for the dim x dim matrix.
     """
@@ -178,12 +179,7 @@ def _step_count(state, hamiltonian, dtau, tau_max, *strides):
     return int(round(tau_max / dtau))
 
 
-def _columns(rows):
-    """Records (dicts with the same keys) -> one array per key."""
-    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
-
-
-def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
+def propagate(rho0, hamiltonian, bath: BathParams, *, dtau, tau_max,
               record_stride=1, snapshot_stride=None, scales=None):
     """Propagate a density matrix under the thermal master equation.
 
@@ -255,7 +251,7 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
                                   v.conj().T @ (np.arange(len(v))[:, None] * v))]
     rho = rho_full[:k, :k].copy()
     leaked = float(np.sum(np.abs(start[k:])))
-    records, snapshot_times, snapshots = [], [], []
+    records, snapshot_times, snapshots = [], [], []   # records: COLUMNS order
     lowest = {}     # step -> lowest eigenvalue of rho, at snapshots and the end
     max_correction = max_defect = 0.0
 
@@ -278,10 +274,9 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
             rho /= tr
         if step % record_stride == 0 or step == n_steps:
             first, second, occ = (complex(np.sum(op * rho)) for op in moment_ops)
-            records.append(dict(
-                _ladder_moments(first, second, occ.real), times=step * dtau,
-                trace=float(np.trace(rho).real),
-                purity=float(np.sum(np.abs(rho) ** 2))))
+            records.append((step * dtau, *_ladder_moments(first, second, occ.real),
+                            float(np.trace(rho).real),
+                            float(np.sum(np.abs(rho) ** 2))))
         if snapshot_stride is not None and (
                 step % snapshot_stride == 0 or step == n_steps):
             w, u = np.linalg.eigh(rho)
@@ -299,7 +294,7 @@ def propagate(rho0, hamiltonian, bath: BathParams, *, dtau=0.005, tau_max,
         if low < -1e-4:
             warnings.warn(f"density matrix at tau={step * dtau:.4g} has "
                           f"eigenvalue {low:.3g}", PositivityWarning, stacklevel=2)
-    return Trajectory(**_columns(records), snapshot_times=snapshot_times,
+    return Trajectory(*np.array(records).T, snapshot_times=snapshot_times,
                       snapshots=snapshots, max_trace_correction=max_correction,
                       max_hermiticity_defect=max_defect,
                       energy_levels_kept=k, leaked_population=leaked,

@@ -39,7 +39,6 @@ __all__ = [
     "spectrum_sweep",
 ]
 
-DEFAULT_DIM = 400
 # default flux grid: walls this many flux quanta beyond the outer wells
 FLUX_GRID_PADDING_QUANTA = 3.0
 FLUX_GRID_POINTS = 500_001
@@ -103,7 +102,6 @@ class Well:
 
     position: float   # dimensionless x
     energy: float     # hbar*omega
-    curvature: float  # d2u/dx2 at the minimum
 
 
 def find_potential_wells(params: SquidParams, scales: DerivedScales):
@@ -121,15 +119,11 @@ def find_potential_wells(params: SquidParams, scales: DerivedScales):
     u = potential_energy_scaled(grid, params, scales)
     interior = np.nonzero((u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:]))[0] + 1
 
-    def f(x):
-        return potential_energy_scaled(x, params, scales)
-
     wells = []
     for i in interior:
-        res = minimize_scalar(f, bracket=(grid[i - 1], grid[i], grid[i + 1]))
-        h = 1e-4
-        curv = (f(res.x + h) - 2.0 * res.fun + f(res.x - h)) / h**2
-        wells.append(Well(float(res.x), float(res.fun), float(curv)))
+        res = minimize_scalar(potential_energy_scaled, args=(params, scales),
+                              bracket=(grid[i - 1], grid[i], grid[i + 1]))
+        wells.append(Well(float(res.x), float(res.fun)))
     wells.sort(key=lambda w: w.position)
     return wells
 
@@ -147,8 +141,7 @@ def barrier_between(params, scales, x_left, x_right):
     return float(res.x), float(-res.fun)
 
 
-def build_fock_hamiltonian(params: SquidParams, scales: DerivedScales,
-                           dim: int = DEFAULT_DIM):
+def build_fock_hamiltonian(params: SquidParams, scales: DerivedScales, dim):
     """Number-basis Hamiltonian in units of hbar*omega (real symmetric)."""
     h = np.diag(np.arange(dim) + 0.5)
     cos = cosine_operator(dim, scales.cosine_scale_k,
@@ -260,8 +253,7 @@ def eigensolve(hamiltonian, count=None):
     return SpectralResult(vals, vecs)
 
 
-def spectrum_sweep(params: SquidParams, start, stop, step, levels=10,
-                   dim=DEFAULT_DIM):
+def spectrum_sweep(params: SquidParams, start, stop, step, levels=10, *, dim):
     """Eigenvalues of the number-basis Hamiltonian over a bias-flux range."""
     if not step > 0.0:
         raise ParameterError(f"sweep step must be > 0, got {step}")

@@ -6,7 +6,8 @@ sweep or run dataclass are derived from it; the others, the scenario name
 and keys whose names carry a unit, have explicit rows.  A key overrides
 only its own field of the base spec.  Numbers must be finite, counts at
 least 1, grids and the basis at least 2 points wide, steps positive and
-indices below the basis size; anything else raises ConfigError.
+indices below the basis size; ScenarioSpec checks these ranges as one
+ordered list of rules, and the ConfigError names the first rule broken.
 
 SCENARIOS maps each scenario name, the CLI subcommands included, to its
 default spec and its runner.  A runner returns named tables, (columns,
@@ -105,14 +106,34 @@ class ScenarioSpec:
     run: RunSettings = field(default_factory=RunSettings)
 
     def __post_init__(self):
-        # run.dim first: the index and level ranges are relative to it
-        for key in sorted(_KEYS.values(), key=lambda k: k.name != "run.dim"):
-            value = key.read(self)
-            if key.check is None or value is None:
-                continue
-            allowed = key.check(value, self)
+        # the first broken rule is reported; run.dim comes first, since the
+        # index and level ranges are relative to it
+        state, grid, sweep, run = self.state, self.grid, self.sweep, self.run
+        index = _within(0, run.dim - 1)
+        rules = (
+            ("run.dim", run.dim, _within(2)),
+            ("state.kind", state.kind,
+             lambda kind: None if kind in STATE_KINDS
+             else f"one of {', '.join(STATE_KINDS)}"),
+            ("state.index", state.index, index),
+            ("state.pair_a", state.pair_a, index),
+            ("state.pair_b", state.pair_b, index),
+            ("grid.x_max", grid.x_max, _exceeding(grid.x_min)),
+            ("grid.x_points", grid.x_points, _within(2)),
+            ("grid.p_max", grid.p_max, _exceeding(grid.p_min)),
+            ("grid.p_points", grid.p_points, _within(2)),
+            ("sweep.stop", sweep.stop, _within(sweep.start)),
+            ("sweep.step", sweep.step, _exceeding(0.0)),
+            ("sweep.levels", sweep.levels, _within(1, run.dim)),
+            ("run.dtau", run.dtau, _exceeding(0.0)),
+            ("run.tau_max", run.tau_max, _within(0.0)),
+            ("run.record_stride", run.record_stride, _within(1)),
+            ("run.snapshot_stride", run.snapshot_stride, _within(1)),
+        )
+        for name, value, check in rules:
+            allowed = None if value is None else check(value)
             if allowed is not None:
-                raise ConfigError(f"{key.name} = {value!r} must be {allowed}")
+                raise ConfigError(f"{name} = {value!r} must be {allowed}")
 
     def to_flat(self):
         """Flat string mapping understood by the config parser."""
@@ -170,32 +191,15 @@ def _energy_from_current(text):
         1.0, 1.0, _finite_float(text)).josephson_energy
 
 
-def _between(low, high=lambda spec: math.inf):
-    """Check that a value lies in [low(spec), high(spec)]; returns None when
-    it does and the allowed range otherwise."""
-    def check(value, spec):
-        lo, hi = low(spec), high(spec)
-        return None if lo <= value <= hi else f"in [{lo!r}, {hi!r}]"
-    return check
+def _within(low, high=math.inf):
+    """Check of the range [low, high]: None inside, else the allowed range."""
+    return lambda value: (None if low <= value <= high
+                          else f"in [{low!r}, {high!r}]")
 
 
-def _above(low):
-    """Like _between, for values strictly above low(spec)."""
-    def check(value, spec):
-        lo = low(spec)
-        return None if value > lo else f"> {lo!r}"
-    return check
-
-
-_count = _between(lambda spec: 1)
-_points = _between(lambda spec: 2)
-_positive = _above(lambda spec: 0.0)
-_level_count = _between(lambda spec: 1, lambda spec: spec.run.dim)
-_basis_index = _between(lambda spec: 0, lambda spec: spec.run.dim - 1)
-
-
-def _state_kind(value, spec):
-    return None if value in STATE_KINDS else f"one of {', '.join(STATE_KINDS)}"
+def _exceeding(low):
+    """Check of the values above low: None there, else the allowed range."""
+    return lambda value: None if value > low else f"> {low!r}"
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,6 @@ class _Key:
     section: str | None       # ScenarioSpec attribute; None: the spec itself
     field: str                # attribute of the section
     parse: object = _finite_float   # text -> value; raises ValueError
-    check: object = None      # (value, spec) -> None, or the allowed range
     emit: bool = True         # written by to_flat
 
     def read(self, spec):
@@ -229,17 +232,6 @@ _EXPLICIT_KEYS = (
     _Key("state.theta_rad", "state", "theta"),
 )
 _PARSERS = {float: _finite_float, int: int, int | None: int, str: str}
-# fields whose range is not just "a count >= 1" or "anything finite"
-_FIELD_CHECKS = {("state", "kind"): _state_kind, ("state", "index"): _basis_index,
-                 ("state", "pair_a"): _basis_index,
-                 ("state", "pair_b"): _basis_index,
-                 ("grid", "x_points"): _points, ("grid", "p_points"): _points,
-                 ("grid", "x_max"): _above(lambda spec: spec.grid.x_min),
-                 ("grid", "p_max"): _above(lambda spec: spec.grid.p_min),
-                 ("sweep", "stop"): _between(lambda spec: spec.sweep.start),
-                 ("sweep", "step"): _positive, ("sweep", "levels"): _level_count,
-                 ("run", "dim"): _points, ("run", "dtau"): _positive,
-                 ("run", "tau_max"): _between(lambda spec: 0.0)}
 
 
 def _derived_keys():
@@ -251,11 +243,8 @@ def _derived_keys():
         for f in dataclasses.fields(cls):
             if (section, f.name) in taken:
                 continue
-            parse = _PARSERS[f.type]
-            check = _FIELD_CHECKS.get((section, f.name),
-                                      _count if parse is int else None)
-            yield _Key(f"{section}.{f.name}", section, f.name, parse,
-                       check=check)
+            yield _Key(f"{section}.{f.name}", section, f.name,
+                       _PARSERS[f.type])
 
 
 _KEYS = {k.name: k for k in (*_EXPLICIT_KEYS, *_derived_keys())}
@@ -634,10 +623,10 @@ def _write_atomic(path, chunks):
 
 
 def _csv_chunks(columns, rows):
-    """A table's CSV text: the header line, then one string per block of
-    CSV_BLOCK_ROWS rows, each formatted by a single `%` operation."""
+    """A table's CSV text from its 2-D float rows: the header line, then one
+    string per block of CSV_BLOCK_ROWS rows, each formatted by a single `%`
+    operation."""
     yield ",".join(columns) + "\n"
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
     row_fmt = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
     for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
         block = rows[start:start + CSV_BLOCK_ROWS]
@@ -652,30 +641,21 @@ def emit_dataset(dataset: Dataset, out_dir, fmt="csv"):
     """
     if fmt not in ("csv", "json-bundle"):
         raise ConfigError(f"unknown emit format {fmt!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+    tables = {name: (list(cols), np.atleast_2d(np.asarray(rows, dtype=float)))
+              for name, (cols, rows) in dataset.tables.items()}
     if fmt == "csv":
-        for filename, (columns, rows) in dataset.tables.items():
-            path = os.path.join(out_dir, filename)
-            _write_atomic(path, _csv_chunks(columns, rows))
-            written.append(path)
-        meta_path = os.path.join(out_dir, "metadata.json")
-        meta = dict(dataset.metadata)
-        meta["tables"] = {
-            name: {"columns": list(cols), "rows": int(np.atleast_2d(rows).shape[0])}
-            for name, (cols, rows) in dataset.tables.items()}
-        _write_atomic(meta_path,
-                      [json.dumps(meta, sort_keys=True, indent=2) + "\n"])
-        written.append(meta_path)
+        files = {name: _csv_chunks(*table) for name, table in tables.items()}
+        doc_name, doc = "metadata.json", {**dataset.metadata, "tables": {
+            name: {"columns": cols, "rows": len(rows)}
+            for name, (cols, rows) in tables.items()}}
     else:
-        bundle = {
-            "metadata": dataset.metadata,
-            "tables": {
-                name: {"columns": list(cols),
-                       "rows": np.atleast_2d(np.asarray(rows, float)).tolist()}
-                for name, (cols, rows) in dataset.tables.items()},
-        }
-        path = os.path.join(out_dir, f"{dataset.name}.json")
-        _write_atomic(path, [json.dumps(bundle, sort_keys=True, indent=2) + "\n"])
-        written.append(path)
-    return written
+        files, doc_name = {}, f"{dataset.name}.json"
+        doc = {"metadata": dataset.metadata, "tables": {
+            name: {"columns": cols, "rows": rows.tolist()}
+            for name, (cols, rows) in tables.items()}}
+    files[doc_name] = [json.dumps(doc, sort_keys=True, indent=2) + "\n"]
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, name) for name in files]
+    for path, chunks in zip(paths, files.values()):
+        _write_atomic(path, chunks)
+    return paths

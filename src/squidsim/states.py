@@ -331,10 +331,14 @@ def _pair_roles(spectral, indices, midpoint):
     When the two well components have different local shapes the reflection
     overlap loses contrast; energy order then decides (the symmetric,
     bonding member of an adjacent doublet lies lower in one dimension).
+    The sampled window stays inside the truncation-supported region.
     """
     dim = spectral.eigenvectors.shape[0]
-    half = np.sqrt(2.0 * (dim - 1) + 1.0) / np.sqrt(2.0)
-    x = np.linspace(midpoint - half, midpoint + half, 2048)
+    support = np.sqrt(2.0 * (dim - 1) + 1.0)
+    half = min(support / np.sqrt(2.0), support - abs(midpoint))
+    # linspace may overshoot its end by one ulp
+    x = np.clip(np.linspace(midpoint - half, midpoint + half, 2048),
+                -support, support)
     dx = x[1] - x[0]
     psi = position_wavefunction(spectral.eigenvectors[:, list(indices)], x)
     overlaps = [float(np.sum(np.conj(col[::-1]) * col).real * dx)

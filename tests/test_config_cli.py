@@ -235,10 +235,23 @@ def test_json_bundle_emission(tmp_path):
     spec = sq.builtin_scenario("level-sweep", {
         "run.dim": "80", "sweep.step": "0.25", "sweep.levels": "3"})
     dataset = sq.run_scenario(spec)
+    dataset.tables["row.csv"] = (("a", "b"), [0.5, 2.0])   # a 1-D row
     paths = sq.emit_dataset(dataset, tmp_path, fmt="json-bundle")
+    assert paths == [str(tmp_path / "level-sweep.json")]
     bundle = json.loads((tmp_path / "level-sweep.json").read_text())
     assert bundle["metadata"]["scenario"] == "level-sweep"
     assert bundle["tables"]["level_sweep.csv"]["columns"][0] == "phi_x"
+    assert bundle["tables"]["row.csv"]["rows"] == [[0.5, 2.0]]
+
+    # both formats come from one normalisation of the tables
+    csv_dir = tmp_path / "csv"
+    assert sq.emit_dataset(dataset, csv_dir) == [
+        str(csv_dir / name) for name in ("level_sweep.csv", "row.csv",
+                                         "metadata.json")]
+    meta = json.loads((csv_dir / "metadata.json").read_text())
+    assert meta["tables"] == {
+        name: {"columns": table["columns"], "rows": len(table["rows"])}
+        for name, table in bundle["tables"].items()}
 
 
 def test_cli_scenario_success(tmp_path, capsys):
@@ -502,6 +515,19 @@ def test_cli_zero_record_stride_exit_code(tmp_path, capsys):
     ("evolve", "bath.damping = 0.05\nrun.dtau = 0\n", "run.dtau"),
     ("evolve", "bath.damping = 0.05\nrun.tau_max = -1\n", "run.tau_max"),
     ("spectrum", "sweep.step = 0\n", "sweep.step"),
+    # with two broken rules the earlier one in ScenarioSpec's list is named
+    ("wigner", "state.kind = cat\ngrid.x_points = 1\n",
+     "config error: state.kind = 'cat' must be one of eigenstate, coherent, "
+     "superposition"),
+    ("wigner", "grid.x_max = -20\nsweep.step = 0\n",
+     "config error: grid.x_max = -20.0 must be > -16.0"),
+    ("eigenstates", "sweep.levels = 0\nrun.dtau = 0\n",
+     "config error: sweep.levels = 0 must be in [1, 60]"),
+    ("evolve", "bath.damping = 0.05\nrun.tau_max = -1\nrun.record_stride = 0\n",
+     "config error: run.tau_max = -1.0 must be in [0.0, inf]"),
+    ("evolve", "bath.damping = 0.05\nrun.record_stride = 0\n"
+     "run.snapshot_stride = 0\n",
+     "config error: run.record_stride = 0 must be in [1, inf]"),
     ("evolve", "", "config error: evolve needs bath.* settings"),
     # a StepSizeError is a SquidSimError but not a ConfigError
     ("evolve", "bath.damping = 0.01\nrun.dtau = 1\nrun.tau_max = 2\n",
@@ -522,6 +548,28 @@ def test_cli_basis_size_below_two_is_reported_under_run_dim(tmp_path, capsys):
     assert cli_main(["wigner", "--dim", "1", "--out", str(out)]) == 2
     assert "config error: run.dim = 1 must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_dim_is_reported_before_the_ranges_relative_to_it():
+    with pytest.raises(ConfigError,
+                       match=r"^run\.dim = 1 must be in \[2, inf\]$"):
+        sq.ScenarioSpec.from_flat({"run.dim": "1", "state.index": "5"})
+
+
+def test_cli_friedman_on_a_far_doublet_prints_no_warning(tmp_path, capsys):
+    """The squeeze ring at bias 0.25 has its doublet far from the origin;
+    classifying it must not warn about a grid beyond the basis support."""
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(
+        "squid.capacitance_f = 5e-15\nsquid.inductance_h = 3e-10\n"
+        "squid.josephson_energy_j = 3.42074945834759e-21\n"
+        "squid.bias_flux_phi0 = 0.25\n"
+        "grid.x_min = -26\ngrid.x_max = 26\ngrid.x_points = 129\n"
+        "grid.p_min = -26\ngrid.p_max = 26\ngrid.p_points = 129\n")
+    code = cli_main(["scenario", "friedman", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "squidsim: warning" not in capsys.readouterr().err
 
 
 def test_cli_levels_option_sets_sweep_levels(tmp_path):

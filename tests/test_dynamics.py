@@ -436,9 +436,9 @@ def test_non_finite_inputs_are_rejected():
     bad_h = h.copy()
     bad_h[0, 0] = np.inf
     with pytest.raises(ParameterError):
-        sq.propagate(bad_rho, h, bath, tau_max=0.05)
+        sq.propagate(bad_rho, h, bath, dtau=0.005, tau_max=0.05)
     with pytest.raises(ParameterError):
-        sq.propagate(rho, bad_h, bath, tau_max=0.05)
+        sq.propagate(rho, bad_h, bath, dtau=0.005, tau_max=0.05)
 
 
 @pytest.mark.parametrize("settings", [
@@ -455,7 +455,7 @@ def test_bad_step_settings_are_rejected(settings):
 def test_zero_snapshot_stride_is_rejected():
     rho, h, bath = _small_damped_run()
     with pytest.raises(ParameterError):
-        sq.propagate(rho, h, bath, tau_max=0.05, snapshot_stride=0)
+        sq.propagate(rho, h, bath, dtau=0.005, tau_max=0.05, snapshot_stride=0)
 
 
 def test_run_health_figures():

@@ -208,4 +208,4 @@ def test_sweep_matches_directly_built_hamiltonians():
 def test_sweep_step_validation():
     for step in (0.0, -0.1, math.nan):
         with pytest.raises(ParameterError):
-            sq.spectrum_sweep(sq.standard_ring(), 0.0, 1.0, step)
+            sq.spectrum_sweep(sq.standard_ring(), 0.0, 1.0, step, dim=40)

@@ -304,6 +304,18 @@ def test_classification_labels_are_unchanged(ring, expected):
     assert len(labels) == 400
 
 
+def test_classification_of_a_far_doublet_does_not_warn():
+    """The reflection window of a doublet whose midpoint lies far from the
+    origin stays inside the truncation-supported region."""
+    ring = sq.squeeze_ring(0.25)
+    scales = sq.derive_scales(ring)
+    res = sq.eigensolve(sq.build_fock_hamiltonian(ring, scales, 400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        classification = sq.classify_well_states(res, ring, scales)
+    assert classification.pairs()
+
+
 def test_well_state_variances(spectral_049, quadratures_400):
     ring, scales, h, res = spectral_049
     x_op, p_op = quadratures_400
