@@ -9,11 +9,15 @@ through one chord transform: with the number parity Pi = (-1)^n,
 Wt(X, P) = W_{rho Pi}(X/2, P/2) / 2 (Royer 1977), so both fields share one
 sampling lattice.  The density kernel is expanded over the eigenstates of
 rho and the oscillator eigenfunctions are evaluated on an auxiliary lattice
-chosen so that every required point x +- z/2 lands exactly on it.  The z
-step is a power-of-two subdivision of the grid step, fine enough to sample
-the fastest exp(-i z p) oscillation at the grid edge at least eight times
-per period; the z range is symmetric, which makes the Wigner sum real up
-to roundoff.
+chosen so that every required point x +- z/2 lands exactly on it, with
+real products of the real Hermite table.  The z step is a power-of-two
+subdivision of the grid step, fine enough to sample the fastest
+exp(-i z p) oscillation at the grid edge at least eight times per period.
+Only the half z >= 0 of the symmetric z range is gathered and summed
+against real cos(z p) and sin(z p) matrices: for the Hermitian rho the
+kernel at -z is the conjugate of the kernel at z, so the Wigner sum is
+real by construction; for the non-Hermitian rho Pi the kernel at -z is
+gathered as a second half.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -24,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import GridResolutionError, ParameterError
 from .hamiltonian import _uniform_grid
 from .operators import hermiticity_defect
-from .states import MixedState, _as_state, hermite_functions
+from .states import MixedState, _as_state, _split_matmul, hermite_functions
 
 __all__ = [
     "PhaseSpaceField",
@@ -44,6 +48,8 @@ class PhaseSpaceField:
     """Values of a Wigner (real) or Weyl (complex) function on a grid.
 
     values[i, j] corresponds to (x[i], p[j]) (or (X[i], P[j])).
+    imag_residual is the largest imaginary part dropped to make values
+    real; both kernels leave none, so it is 0.0.
     """
 
     kind: str
@@ -111,14 +117,20 @@ def _chord_transform(weights, left, right, x, p, reach):
     """(1/2pi) sum_j <x_i + z_j/2| A |x_i - z_j/2> exp(-i z_j p) dz on the
     (x, p) grid for A = sum_k weights[k] |left[:, k]><right[:, k]|.
 
-    z_j = (j - c) * dz covers |z| <= 2 (reach + TAIL_PAD) with
+    z_j = j * dz for |j| <= c covers |z| <= 2 (reach + TAIL_PAD) with
     dz = dx / 2**m for the smallest m >= 0 that samples the fastest
     exp(-i z p) oscillation at least eight times per period.  Every
     x_i +- z_j/2 then sits on one lattice of step dz/2 anchored at x[0],
-    whose single Hermite table gives both factors; pass right=left to
-    multiply the table once.  Row i of either factor is the length-n_z
-    window of lattice values starting at i * 2**(m + 1), read as a strided
-    view (reversed for x_i - z_j/2), so no gather is built.
+    whose single Hermite table gives both factors through real products.
+    Only the half z >= 0 is gathered: with K+(x, z) = sum_k w_k
+    l_k(x + z/2) conj r_k(x - z/2) and K-(x, z) the same with the signs of
+    z/2 swapped, the sum is (K+ + K-) @ cos(z p) - i (K+ - K-) @ sin(z p),
+    the z = 0 column halved in the even part.  Pass right=left for a
+    Hermitian A: then K- = conj K+, so only K+ is gathered and the result
+    2 (Re K+ @ cos + Im K+ @ sin) is real by construction.  Row i of
+    either factor is a length-(c + 1) window of lattice values starting at
+    i * 2**(m + 1), read as a strided view (reversed for x_i - z_j/2), so
+    no gather is built.
     """
     dx = float(x[1] - x[0])
     # kernel oscillations (state momentum content) add to the transform phase
@@ -128,31 +140,50 @@ def _chord_transform(weights, left, right, x, p, reach):
         m += 1
     dz = dx / 2.0 ** m
     c = int(np.ceil(2.0 * (reach + TAIL_PAD) / dz))
-    zeta = (np.arange(2 * c + 1) - c) * dz
-    n_z = zeta.size
 
     stride = 2 ** (m + 1)
-    lattice = x[0] + (np.arange((len(x) - 1) * stride + n_z) - c) * (dz / 2.0)
+    size = (len(x) - 1) * stride + 2 * c + 1
+    lattice = x[0] + (np.arange(size) - c) * (dz / 2.0)
     table = hermite_functions(left.shape[0] - 1, lattice)
-    psi_u = table @ left
-    psi_v = psi_u if right is left else table @ right
+    psi_l = _split_matmul(table, left)
+    psi_r = psi_l if right is left else _split_matmul(table, right)
     del table
-    kernel = np.zeros((len(x), n_z), dtype=complex)
-    for k in range(len(weights)):
-        u = sliding_window_view(psi_u[:, k], n_z)[::stride]
-        v = sliding_window_view(psi_v[:, k], n_z)[::stride, ::-1]
-        kernel += weights[k] * u * np.conj(v)
-    phases = np.exp(-1j * np.outer(zeta, p))
-    return kernel @ phases * (dz / (2.0 * np.pi))
+
+    def half_kernel(u_vals, v_vals):
+        """sum_k w_k u_k(x + z/2) conj v_k(x - z/2) for z >= 0."""
+        kernel = np.zeros((len(x), c + 1), np.result_type(u_vals, v_vals))
+        for k in range(len(weights)):
+            u = sliding_window_view(u_vals[c:, k], c + 1)[::stride]
+            v = sliding_window_view(v_vals[:size - c, k], c + 1)[::stride, ::-1]
+            kernel += weights[k] * u * np.conj(v)
+        return kernel
+
+    zp = np.outer(np.arange(c + 1) * dz, p)
+    cos, sin = np.cos(zp), np.sin(zp)
+    del zp
+    if right is left:
+        kernel = half_kernel(psi_l, psi_l)
+        kernel[:, 0] *= 0.5
+        values = kernel.real @ cos
+        if np.iscomplexobj(kernel):
+            values += kernel.imag @ sin
+        values *= 2.0
+    else:
+        plus = half_kernel(psi_l, psi_r)
+        minus = np.conj(half_kernel(psi_r, psi_l))
+        even, odd = plus + minus, plus - minus
+        even[:, 0] *= 0.5
+        values = _split_matmul(even, cos) - 1j * _split_matmul(odd, sin)
+    return values * (dz / (2.0 * np.pi))
 
 
 def wigner_function(state, x, p):
     """Wigner function of a pure state, density matrix or MixedState on an
     (x, p) grid.
 
-    Returns a real-valued PhaseSpaceField; the discarded imaginary residue
-    is recorded on the field.  Raises GridResolutionError when the grid
-    fails to cover the populated phase-space region.
+    Returns a real-valued PhaseSpaceField: the half-range sum is real by
+    construction, so its imag_residual is 0.0.  Raises GridResolutionError
+    when the grid fails to cover the populated phase-space region.
     """
     x = _uniform_grid(x, "x")
     p = _uniform_grid(p, "p")
@@ -160,9 +191,8 @@ def wigner_function(state, x, p):
     reach = _support_reach(weights, vectors)
     _check_cover(x, reach, "x")
     _check_cover(p, reach, "p")
-    raw = _chord_transform(weights, vectors, vectors, x, p, reach)
-    residual = float(np.max(np.abs(raw.imag)))
-    return PhaseSpaceField("wigner", x, p, raw.real, imag_residual=residual)
+    return PhaseSpaceField("wigner", x, p,
+                           _chord_transform(weights, vectors, vectors, x, p, reach))
 
 
 def weyl_function(state, x, p):

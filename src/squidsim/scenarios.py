@@ -332,8 +332,10 @@ def _field_table(field_obj: PhaseSpaceField):
 
 
 def _field_descriptor(field_obj, spec):
+    """Grid, state recipe and health of a field; a Wigner field's
+    normalization is its trapezoid integral, which should read 1."""
     state = spec.state
-    return {
+    descriptor = {
         "kind": field_obj.kind,
         "x_min": float(field_obj.x[0]), "x_max": float(field_obj.x[-1]),
         "x_points": len(field_obj.x),
@@ -344,6 +346,10 @@ def _field_descriptor(field_obj, spec):
                   "alpha": repr(complex(state.alpha_re, state.alpha_im)),
                   "theta": state.theta, "pair": [state.pair_a, state.pair_b]},
     }
+    if field_obj.kind == "wigner":
+        descriptor["normalization"] = phase_space_diagnostics(
+            field_obj).normalization
+    return descriptor
 
 
 def _level_panel(x, ring, scales, spectral, levels):
@@ -434,13 +440,12 @@ def _run_cat_049(spec):
     `eigenstate<index>` or `coherent`."""
     _, _, psi = _resolve_state(spec)
     fld = wigner_function(psi, spec.grid.x_axis(), spec.grid.p_axis())
-    diag = phase_space_diagnostics(fld)
     state = spec.state
     label = {"superposition": "cat", "eigenstate": f"eigenstate{state.index}",
              "coherent": "coherent"}[state.kind]
     return ({f"wigner_{label}_phix{spec.squid.bias_flux:.2f}.csv": fld},
-            {"wigner_normalization": diag.normalization,
-             "wigner_negativity_volume": diag.negativity_volume})
+            {"wigner_negativity_volume":
+                 phase_space_diagnostics(fld).negativity_volume})
 
 
 def _theta_fields(s, a, spec):

@@ -90,12 +90,25 @@ def position_wavefunction(psi, x):
             f"truncation-supported region |x| <= {support:.3g}",
             stacklevel=2)
     # one product per column rounds exactly as a single-state product does;
-    # a single matrix product would not, nor would the column-major layout
-    table = hermite_functions(dim - 1, x).astype(complex, order="C")
+    # a single matrix product would not
+    table = hermite_functions(dim - 1, x)
     out = np.empty((table.shape[0], columns.shape[1]), dtype=complex)
     for k in range(columns.shape[1]):
-        out[:, k] = table @ columns[:, k]
+        out[:, k] = _split_matmul(table, columns[:, k])
     return out if psi.ndim == 2 else out[:, 0]
+
+
+def _split_matmul(a, b):
+    """a @ b when at most one operand is complex, from real products only:
+    the complex operand is split into its real and imaginary parts, so the
+    real one (a Hermite table, say) is never cast to complex.  A complex
+    operand whose imaginary part is zero gives a real result from one
+    product."""
+    if np.iscomplexobj(a) and np.any(a.imag):
+        return a.real @ b + 1j * (a.imag @ b)
+    if np.iscomplexobj(b) and np.any(b.imag):
+        return a @ b.real + 1j * (a @ b.imag)
+    return a.real @ b.real
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,10 @@ def test_metadata_reproduces_spec_and_scales(tmp_path):
     scales = sq.derive_scales(again.squid)
     for name, stored in meta["derived_scales"].items():
         assert getattr(scales, name) == pytest.approx(stored, rel=1e-12)
+    # the field's normalisation has one home, its descriptor
+    assert "wigner_normalization" not in meta
+    (desc,) = meta["fields"].values()
+    assert desc["normalization"] == pytest.approx(1.0, abs=1e-4)
 
 
 def test_emitted_payloads_are_byte_identical(tmp_path):
@@ -181,13 +185,23 @@ def test_decohere_scenario_field_files(tmp_path):
     wig_count = sum(n.startswith("wigner_tau") for n in names)
     wey_count = sum(n.startswith("weyl_tau") for n in names)
     assert wig_count == wey_count == len(taus)
-    # each field records the imaginary residue the Wigner sum discarded
+    # both kernels are real or complex by construction: nothing is discarded
     for name, desc in dataset.metadata["fields"].items():
-        residual = desc["imag_residual"]
-        if name.startswith("weyl_tau"):
-            assert residual == 0.0
-        else:
-            assert 0.0 <= residual < 1e-10
+        assert desc["imag_residual"] == 0.0
+        assert ("normalization" in desc) == name.startswith("wigner_tau")
+
+
+def test_decohere_wigner_descriptors_record_their_normalization():
+    spec = sq.builtin_scenario("decohere-cat", {
+        "run.dim": "150", "run.tau_max": "0.15", "run.record_stride": "5",
+        "run.snapshot_stride": "15", "grid.x_points": "65",
+        "grid.p_points": "65"})
+    fields = sq.run_scenario(spec).metadata["fields"]
+    norms = [desc["normalization"] for name, desc in fields.items()
+             if name.startswith("wigner_tau")]
+    assert len(norms) == 3
+    for norm in norms:
+        assert abs(norm - 1.0) <= 1e-4
 
 
 def test_squeeze_scenario_dips_below_half(tmp_path):

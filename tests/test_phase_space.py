@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import eval_laguerre
 
 import squidsim as sq
 from squidsim import GridResolutionError, ParameterError
-from squidsim.phase_space import _state_weights
-from squidsim.states import MixedState
+from squidsim.phase_space import (TAIL_PAD, _chord_transform, _state_weights,
+                                  _support_reach)
+from squidsim.states import MixedState, _split_matmul, hermite_functions
 
 
 def axes(span=6.0, n=97):
@@ -338,3 +340,62 @@ def test_random_mixed_state_field_properties(rank, seed):
     p_out = np.linspace(-5.0, 2.0, 15)
     assert np.max(np.abs(sq.wigner_to_weyl(wig, x_out, p_out)
                          - sq.weyl_function(state, x_out, p_out).values)) < 1e-4
+
+
+def full_range_chord_transform(weights, left, right, x, p, reach):
+    """Reference for _chord_transform: the same z grid and lattice, with the
+    kernel gathered over the whole range -c..c in complex arithmetic and
+    summed against the complex exp(-i z p) matrix."""
+    dx = float(x[1] - x[0])
+    target = np.pi / (4.0 * (np.max(np.abs(p)) + reach))
+    m = 0
+    while dx / 2.0 ** m > target:
+        m += 1
+    dz = dx / 2.0 ** m
+    c = int(np.ceil(2.0 * (reach + TAIL_PAD) / dz))
+    zeta = (np.arange(2 * c + 1) - c) * dz
+    stride = 2 ** (m + 1)
+    lattice = x[0] + (np.arange((len(x) - 1) * stride + zeta.size) - c) * (
+        dz / 2.0)
+    table = hermite_functions(left.shape[0] - 1, lattice).astype(complex)
+    psi_u, psi_v = table @ left, table @ right
+    kernel = np.zeros((len(x), zeta.size), dtype=complex)
+    for k in range(len(weights)):
+        u = sliding_window_view(psi_u[:, k], zeta.size)[::stride]
+        v = sliding_window_view(psi_v[:, k], zeta.size)[::stride, ::-1]
+        kernel += weights[k] * u * np.conj(v)
+    return kernel @ np.exp(-1j * np.outer(zeta, p)) * (dz / (2.0 * np.pi))
+
+
+def assert_half_range_matches_full_range(state):
+    """Both paths of the half-range kernel against the full-range reference
+    on an asymmetric, odd-sized grid, relative to the largest value."""
+    weights, vectors = _state_weights(state)
+    reach = _support_reach(weights, vectors)
+    x = np.linspace(-3.0, 6.0, 37)
+    p = np.linspace(-5.0, 2.0, 29)
+    parity = (-1.0) ** np.arange(vectors.shape[0])
+    for right in (vectors, parity[:, None] * vectors):   # Wigner, then Weyl
+        half = _chord_transform(weights, vectors, right, x, p, reach)
+        full = full_range_chord_transform(weights, vectors, right, x, p, reach)
+        assert np.isrealobj(half) == (right is vectors)
+        assert np.max(np.abs(half - full)) <= 1e-14 * np.max(np.abs(full))
+    # the Hermitian path against the general path on a copy of the factors
+    wigner = _chord_transform(weights, vectors, vectors, x, p, reach)
+    general = _chord_transform(weights, vectors, vectors.copy(), x, p, reach)
+    assert np.max(np.abs(wigner - general)) <= 1e-14 * np.max(np.abs(wigner))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_half_range_kernel_matches_full_range(rank, seed):
+    assert_half_range_matches_full_range(random_mixed_state(24, rank, seed))
+
+
+def test_half_range_kernel_on_a_real_eigenvector(spectral_049):
+    # eigenvectors are real: no imaginary Hermite product is taken, and the
+    # Hermitian kernel is real before its cos/sin sums
+    psi = spectral_049[3].eigenvectors[:, 0].astype(complex)
+    table = hermite_functions(psi.size - 1, np.linspace(-3.0, 6.0, 37))
+    assert np.isrealobj(_split_matmul(table, psi))
+    assert_half_range_matches_full_range(psi)
