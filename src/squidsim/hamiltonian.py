@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar
 
 from .errors import GridResolutionError, ParameterError
 from .operators import cosine_operator, hermiticity_defect
@@ -32,7 +31,6 @@ __all__ = [
     "potential_energy",
     "potential_energy_scaled",
     "find_potential_wells",
-    "barrier_between",
     "build_fock_hamiltonian",
     "build_flux_grid_hamiltonian",
     "eigensolve",
@@ -98,47 +96,48 @@ def potential_energy_scaled(x, params: SquidParams, scales: DerivedScales,
 
 @dataclass(frozen=True)
 class Well:
-    """A local minimum of the dimensionless potential (oscillator frame)."""
+    """A local minimum of the dimensionless potential (oscillator frame),
+    an exact root of its slope (to the nearest float)."""
 
     position: float   # dimensionless x
     energy: float     # hbar*omega
 
 
+def _sign_change_roots(f, grid):
+    """(rising, falling) roots of f at its sign changes on `grid`, every
+    bracket bisected at once until its ends are adjacent floats.  A zero on
+    a grid point starts a rising bracket or ends a falling one: found once."""
+    up = f(grid) > 0.0
+    i = np.flatnonzero(up[1:] != up[:-1])
+    lo, hi, rising = grid[i], grid[i + 1], up[i + 1]
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        left = (f(mid) > 0.0) == rising
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+        mid = 0.5 * (lo + hi)
+    x = np.where(np.abs(f(lo)) <= np.abs(f(hi)), lo, hi)
+    return x[rising], x[~rising]
+
+
+def _critical_points(params: SquidParams, scales: DerivedScales):
+    """(minima, maxima) of the dimensionless potential as left-to-right lists
+    of (position, energy), alternating from a minimum to a minimum: the roots
+    of U'(x) = x + nu*q*sin(q*x + 2*pi*phi_x), q = sqrt(2)*cosine_scale_k,
+    bracketed at 1e-3 flux quanta over |x| <= span = nu*q + one flux quantum.
+    Every root has |x| <= nu*q, and U'(-span) <= -period < period <= U'(span)
+    for the flux quantum `period`, so a minimum always exists."""
+    q = np.sqrt(2.0) * scales.cosine_scale_k
+    reach, phase = scales.nu_over_omega * q, 2.0 * np.pi * params.bias_flux
+    span, step = reach + scales.flux_quantum_in_x, 1e-3 * scales.flux_quantum_in_x
+    roots = _sign_change_roots(lambda x: x + reach * np.sin(q * x + phase),
+                               np.arange(-span, span + step, step))
+    return tuple([(float(x), float(potential_energy_scaled(x, params, scales)))
+                  for x in xs] for xs in roots)
+
+
 def find_potential_wells(params: SquidParams, scales: DerivedScales):
-    """Locate all local minima of the potential, left to right.
-
-    A coarse scan with spacing 1e-3 of a flux quantum brackets each minimum,
-    which is then refined by 1-D minimisation.
-    """
-    period = scales.flux_quantum_in_x
-    # local minima can only exist where the parabola slope can be balanced
-    reach = scales.nu_over_omega * np.sqrt(2.0) * scales.cosine_scale_k
-    span = reach + period
-    step = 1e-3 * period
-    grid = np.arange(-span, span + step, step)
-    u = potential_energy_scaled(grid, params, scales)
-    interior = np.nonzero((u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:]))[0] + 1
-
-    wells = []
-    for i in interior:
-        res = minimize_scalar(potential_energy_scaled, args=(params, scales),
-                              bracket=(grid[i - 1], grid[i], grid[i + 1]))
-        wells.append(Well(float(res.x), float(res.fun)))
-    wells.sort(key=lambda w: w.position)
-    return wells
-
-
-def barrier_between(params, scales, x_left, x_right):
-    """Maximum of the dimensionless potential between two positions."""
-    xs = np.linspace(x_left, x_right, 2001)
-    u = potential_energy_scaled(xs, params, scales)
-    i = int(np.argmax(u))
-    res = minimize_scalar(
-        lambda x: -potential_energy_scaled(x, params, scales),
-        bounds=(xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]),
-        method="bounded",
-    )
-    return float(res.x), float(-res.fun)
+    """All local minima of the potential, left to right (see `_critical_points`)."""
+    return [Well(*m) for m in _critical_points(params, scales)[0]]
 
 
 def build_fock_hamiltonian(params: SquidParams, scales: DerivedScales, dim):
@@ -172,7 +171,7 @@ class FluxGridHamiltonian:
 def default_flux_grid(params: SquidParams, scales: DerivedScales):
     """Uniform dimensionless grid of FLUX_GRID_POINTS points with walls
     FLUX_GRID_PADDING_QUANTA flux quanta beyond the outermost potential
-    well (the scan always finds the global minimum)."""
+    wells, which `find_potential_wells` always finds (at least one)."""
     wells = find_potential_wells(params, scales)
     pad = FLUX_GRID_PADDING_QUANTA * scales.flux_quantum_in_x
     return np.linspace(wells[0].position - pad, wells[-1].position + pad,

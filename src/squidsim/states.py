@@ -14,8 +14,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DegeneracyError, ParameterError, TruncationError
-from .hamiltonian import SpectralResult, barrier_between, find_potential_wells
-from .operators import _check_dim, quadrature_operators
+from .hamiltonian import SpectralResult, Well, _critical_points, find_potential_wells
+from .operators import _check_dim
 
 __all__ = [
     "hermite_functions",
@@ -180,7 +180,8 @@ def parity_pair(spectral: SpectralResult, params, scales, indices=(0, 1)):
 
     Returns (s, a) where s is the even-parity member.  Both signs are fixed
     by requiring a positive wavefunction value at the left well, so that
-    (s + a)/sqrt(2) localises in the left well.
+    (s + a)/sqrt(2) localises in the left well; a real value there (as for
+    the real ring Hamiltonian's eigenvectors) gives a factor of exactly +-1.
     """
     wells = find_potential_wells(params, scales)
     if len(wells) < 2:
@@ -204,7 +205,7 @@ def parity_pair(spectral: SpectralResult, params, scales, indices=(0, 1)):
         val = position_wavefunction(v, np.array([x_left]))[0]
         if abs(val) < 1e-12:
             raise DegeneracyError("pair member vanishes at the well centre")
-        v *= np.conj(val) / abs(val)
+        v *= np.sign(val.real) if val.imag == 0.0 else np.conj(val) / abs(val)
     return even, odd
 
 
@@ -251,21 +252,18 @@ def classify_well_states(spectral: SpectralResult, params, scales):
     depth alike.  Pair roles come from the reflection symmetry about the
     midpoint of the two wells, falling back to energy order (the bonding,
     symmetric member lies lower) when the well shapes differ.  States above
-    every barrier are labelled "delocalized".
+    every barrier are labelled "delocalized".  Wells and barriers, one
+    between adjacent wells, are the roots of the potential's slope.
     """
-    wells = find_potential_wells(params, scales)
-    if not wells:
-        raise ParameterError("potential has no local minimum in the scanned region")
-    barriers = [
-        barrier_between(params, scales, wells[i].position, wells[i + 1].position)
-        for i in range(len(wells) - 1)
-    ]
+    minima, barriers = _critical_points(params, scales)
+    wells = [Well(*m) for m in minima]
     top = max((b[1] for b in barriers), default=-np.inf)
 
-    dim = spectral.eigenvectors.shape[0]
-    x_op, _ = quadrature_operators(dim)
-    means = [float(np.real(np.vdot(vec, x_op @ vec)))
-             for vec in spectral.eigenvectors.T]
+    vecs = spectral.eigenvectors
+    dim = vecs.shape[0]
+    # <x> = sqrt(2) Re sum_n sqrt(n) c*_{n-1} c_n of every column at once
+    means = (np.sqrt(2.0) * np.sum(np.sqrt(np.arange(1.0, dim))[:, None]
+                                   * vecs[:-1].conj() * vecs[1:], axis=0).real).tolist()
 
     def nearest_well(x):
         return int(np.argmin([abs(x - w.position) for w in wells]))

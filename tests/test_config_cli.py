@@ -365,18 +365,30 @@ def test_cli_wigner_weyl_and_evolve(tmp_path):
                for n in evolve_files)
 
 
-def test_module_entry_point_runs_without_warning():
-    # the package must not import squidsim.cli before `-m` executes it
+def _run_fresh_python(*args):
+    """`python *args` in a new interpreter that imports this squidsim."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(sq.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "squidsim.cli",
-         "--help"], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_without_warning():
+    # the package must not import squidsim.cli before `-m` executes it
+    out = _run_fresh_python("-W", "error::RuntimeWarning", "-m", "squidsim.cli",
+                            "--help")
     assert out.returncode == 0
     assert out.stderr == ""
     assert out.stdout.startswith("usage: squidsim")
+
+
+def test_package_does_not_import_scipy_optimize():
+    out = _run_fresh_python("-c", "import sys, squidsim, squidsim.cli; "
+                            "print('scipy.optimize' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_cli_reports_library_warnings_as_one_line(tmp_path, capsys):

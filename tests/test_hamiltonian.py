@@ -108,31 +108,69 @@ def test_potential_symmetry_at_half_quantum():
     assert np.max(np.abs(up - down)) < 1e-12 * scale
 
 
-def test_two_central_minima_positions():
-    # independent oracle: dense scan plus local refinement of the scaled
-    # potential; the screening parameter here is weak enough that the minima
-    # sit well inside one flux quantum of each other
-    ring = sq.standard_ring(0.5)
-    scales = sq.derive_scales(ring)
-    xs = np.linspace(-10, 10, 200001)
-    u = sq.potential_energy_scaled(xs, ring, scales)
-    sign = np.diff(np.sign(np.diff(u)))
-    idx = np.nonzero(sign > 0)[0] + 1
-    refined = []
-    for i in idx:
-        r = minimize_scalar(
-            lambda x: sq.potential_energy_scaled(x, ring, scales),
-            bracket=(xs[i - 1], xs[i], xs[i + 1]))
-        refined.append(r.x)
-    assert len(refined) == 2
-    separation = max(refined) - min(refined)
-    assert separation == pytest.approx(7.3916, abs=2e-3)
+RINGS = {"standard": sq.standard_ring, "squeeze": sq.squeeze_ring,
+         "friedman": lambda bias: sq.friedman_ring().with_bias(bias)}
 
+
+@pytest.mark.parametrize("bias", [0.0, 0.25, 0.49, 0.5, 0.75])
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_wells_and_barriers_match_a_dense_scan(name, bias):
+    # independent oracle: a dense scan of U, each local extremum refined by
+    # Brent's method, which meets its tolerance only to ~1e-6
+    ring = RINGS[name](bias)
+    scales = sq.derive_scales(ring)
+    q = math.sqrt(2.0) * scales.cosine_scale_k
+    nu_q = scales.nu_over_omega * q
+    span = nu_q + scales.flux_quantum_in_x
+    xs = np.linspace(-span, span, 400001)
+    u = sq.potential_energy_scaled(xs, ring, scales)
+    curvature = np.diff(np.sign(np.diff(u)))
+    oracle = []
+    for sign in (1.0, -1.0):   # minima of sign*U: wells, then barriers
+        refined = []
+        for i in np.nonzero(sign * curvature > 0)[0] + 1:
+            r = minimize_scalar(
+                lambda x: sign * sq.potential_energy_scaled(x, ring, scales),
+                bracket=(xs[i - 1], xs[i], xs[i + 1]))
+            refined.append(r.x)
+        oracle.append(refined)
+
+    minima, maxima = sq.hamiltonian._critical_points(ring, scales)
     wells = sq.find_potential_wells(ring, scales)
-    assert len(wells) == 2
-    assert wells[-1].position - wells[0].position == pytest.approx(
-        separation, abs=1e-6)
-    assert wells[0].energy == pytest.approx(wells[1].energy, abs=1e-9)
+    assert [(w.position, w.energy) for w in wells] == minima
+    for found, expected in zip((minima, maxima), oracle):
+        assert len(found) == len(expected)
+        assert np.allclose([x for x, _ in found], expected, rtol=0.0, atol=1e-5)
+    for x, energy in minima + maxima:
+        assert abs(x + nu_q * math.sin(q * x + 2.0 * math.pi * bias)) <= (
+            1e-12 * (1.0 + nu_q))
+        assert energy == sq.potential_energy_scaled(x, ring, scales)
+    # minima and maxima alternate, from a minimum to a minimum
+    positions = sorted((x, kind) for kind, points in enumerate((minima, maxima))
+                       for x, _ in points)
+    assert [kind for _, kind in positions] == [i % 2 for i in range(len(positions))]
+    assert len(minima) == len(maxima) + 1
+
+    if (name, bias) == ("standard", 0.5):
+        assert len(wells) == 2
+        separation = oracle[0][1] - oracle[0][0]
+        assert separation == pytest.approx(7.3916, abs=2e-3)
+        assert wells[1].position - wells[0].position == pytest.approx(
+            separation, abs=1e-6)
+        assert wells[0].energy == pytest.approx(wells[1].energy, abs=1e-9)
+
+
+@pytest.mark.parametrize("slope", [lambda x: x, lambda x: -x,
+                                   lambda x: x * (x * x - 1.0)],
+                         ids=["rising", "falling", "three-roots"])
+def test_slope_zero_on_a_grid_point_is_found_once(slope):
+    grid = np.linspace(-2.0, 2.0, 9)   # holds -1, 0 and 1 exactly
+    rising, falling = sq.hamiltonian._sign_change_roots(slope, grid)
+    roots = np.sort(np.concatenate([rising, falling]))
+    expected = [x for x in (-1.0, 0.0, 1.0) if slope(x) == 0.0]
+    assert roots.tolist() == expected
+    assert all(slope(x + 1e-3) > 0.0 for x in rising)
+    assert all(slope(x + 1e-3) < 0.0 for x in falling)
 
 
 def test_eigensolve_identity_and_2x2():

@@ -199,6 +199,9 @@ def test_parity_pair_members_are_parity_eigenstates(spectral_05):
     par = parity_operator(400)
     assert expectation(par, s).real == pytest.approx(1.0, abs=1e-10)
     assert expectation(par, a).real == pytest.approx(-1.0, abs=1e-10)
+    # a real member's sign fix is an exact +-1: no rescaling by 1 - 2**-53
+    for member, col in ((s, res.eigenvectors[:, 0]), (a, res.eigenvectors[:, 1])):
+        assert any(np.array_equal(member, sign * col) for sign in (1.0, -1.0))
 
 
 def test_parity_pair_needs_double_well():
@@ -223,9 +226,13 @@ def test_classification_at_049(spectral_049):
     assert first.well_index == deeper
 
 
-def test_classification_mean_within_turning_points(spectral_049):
+def test_classification_mean_within_turning_points(spectral_049, quadratures_400):
     ring, scales, h, res = spectral_049
     cls = sq.classify_well_states(res, ring, scales)
+    x_op, _ = quadratures_400
+    for label in cls.labels:
+        v = res.eigenvectors[:, label.state_index]
+        assert label.mean_x == pytest.approx(expectation(x_op, v).real, abs=1e-12)
     for label in (l for l in cls.labels if l.kind == "localized"):
         u_at_mean = sq.potential_energy_scaled(label.mean_x, ring, scales)
         assert u_at_mean < label.energy
