@@ -8,8 +8,8 @@ squeezing of coherent states, plus a scenario CLI that emits CSV datasets.
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DegeneracyError, GridResolutionError,
-                     ParameterError, PositivityWarning, SquidSimError,
-                     StepSizeError, TruncationError)
+                     GridResolutionWarning, ParameterError, PositivityWarning,
+                     SquidSimError, StepSizeError, TruncationError)
 from .params import (CODATA2018, DerivedScales, PhysicalConstants,
                      SquidParams, derive_scales)
 from .operators import (annihilation, cosine_operator, hermiticity_defect,

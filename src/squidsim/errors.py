@@ -31,3 +31,8 @@ class ConfigError(SquidSimError):
 
 class PositivityWarning(UserWarning):
     """A propagated density matrix developed a negative eigenvalue."""
+
+
+class GridResolutionWarning(UserWarning):
+    """A Wigner field's x-marginal misses the exact position density: its
+    grid is too coarse (or too narrow in p) for the state."""

@@ -20,12 +20,13 @@ real by construction; for the non-Hermitian rho Pi the kernel at -z is
 gathered as a second half.
 """
 
+import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridResolutionError, ParameterError
+from .errors import GridResolutionError, GridResolutionWarning, ParameterError
 from .hamiltonian import _uniform_grid
 from .operators import hermiticity_defect
 from .states import MixedState, _as_state, _split_matmul, hermite_functions
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 POPULATION_FLOOR = 1e-12
+MARGINAL_TOLERANCE = 1e-4  # the acceptance tolerance of Wigner normalization
 TAIL_PAD = 4.0  # oscillator tails are dead this far past the turning point
 
 
@@ -49,7 +51,9 @@ class PhaseSpaceField:
 
     values[i, j] corresponds to (x[i], p[j]) (or (X[i], P[j])).
     imag_residual is the largest imaginary part dropped to make values
-    real; both kernels leave none, so it is 0.0.
+    real; both kernels leave none, so it is 0.0.  marginal_error, set on
+    Wigner fields only, is the largest deviation of the trapezoid
+    p-marginal from the exact position density <x_i|rho|x_i>.
     """
 
     kind: str
@@ -57,6 +61,7 @@ class PhaseSpaceField:
     p: np.ndarray
     values: np.ndarray
     imag_residual: float = 0.0
+    marginal_error: float | None = None
     dx: float = dataclass_field(init=False)
     dp: float = dataclass_field(init=False)
 
@@ -131,6 +136,9 @@ def _chord_transform(weights, left, right, x, p, reach):
     either factor is a length-(c + 1) window of lattice values starting at
     i * 2**(m + 1), read as a strided view (reversed for x_i - z_j/2), so
     no gather is built.
+
+    Returns the values and the z = 0 kernel column, the exact diagonal
+    <x_i|A|x_i> = sum_k weights[k] left[x_i, k] conj right[x_i, k].
     """
     dx = float(x[1] - x[0])
     # kernel oscillations (state momentum content) add to the transform phase
@@ -163,6 +171,7 @@ def _chord_transform(weights, left, right, x, p, reach):
     del zp
     if right is left:
         kernel = half_kernel(psi_l, psi_l)
+        diagonal = kernel[:, 0].real.copy()
         kernel[:, 0] *= 0.5
         values = kernel.real @ cos
         if np.iscomplexobj(kernel):
@@ -171,10 +180,11 @@ def _chord_transform(weights, left, right, x, p, reach):
     else:
         plus = half_kernel(psi_l, psi_r)
         minus = np.conj(half_kernel(psi_r, psi_l))
+        diagonal = plus[:, 0]
         even, odd = plus + minus, plus - minus
         even[:, 0] *= 0.5
         values = _split_matmul(even, cos) - 1j * _split_matmul(odd, sin)
-    return values * (dz / (2.0 * np.pi))
+    return values * (dz / (2.0 * np.pi)), diagonal
 
 
 def wigner_function(state, x, p):
@@ -182,8 +192,12 @@ def wigner_function(state, x, p):
     (x, p) grid.
 
     Returns a real-valued PhaseSpaceField: the half-range sum is real by
-    construction, so its imag_residual is 0.0.  Raises GridResolutionError
-    when the grid fails to cover the populated phase-space region.
+    construction, so its imag_residual is 0.0.  Its marginal_error compares
+    the trapezoid p-marginal with the exact density <x_i|rho|x_i>, the
+    z = 0 column of the chord kernel; above MARGINAL_TOLERANCE a
+    GridResolutionWarning says the grid is too coarse for the state.
+    Raises GridResolutionError when the grid fails to cover the populated
+    phase-space region.
     """
     x = _uniform_grid(x, "x")
     p = _uniform_grid(p, "p")
@@ -191,8 +205,16 @@ def wigner_function(state, x, p):
     reach = _support_reach(weights, vectors)
     _check_cover(x, reach, "x")
     _check_cover(p, reach, "p")
-    return PhaseSpaceField("wigner", x, p,
-                           _chord_transform(weights, vectors, vectors, x, p, reach))
+    values, density = _chord_transform(weights, vectors, vectors, x, p, reach)
+    field = PhaseSpaceField("wigner", x, p, values)
+    field.marginal_error = float(np.max(np.abs(_x_marginal(field) - density)))
+    if not field.marginal_error <= MARGINAL_TOLERANCE:
+        warnings.warn(
+            f"Wigner x-marginal misses the exact position density by "
+            f"{field.marginal_error:.3g} (> {MARGINAL_TOLERANCE:g}): the "
+            f"(x, p) grid is too coarse for the state", GridResolutionWarning,
+            stacklevel=2)
+    return field
 
 
 def weyl_function(state, x, p):
@@ -208,16 +230,22 @@ def weyl_function(state, x, p):
     p = _uniform_grid(p, "P")
     weights, vectors = _state_weights(state)
     parity = (-1.0) ** np.arange(vectors.shape[0])
-    values = 0.5 * _chord_transform(weights, vectors, parity[:, None] * vectors,
-                                    x / 2.0, p / 2.0,
-                                    _support_reach(weights, vectors))
-    return PhaseSpaceField("weyl", x, p, values)
+    values, _ = _chord_transform(weights, vectors, parity[:, None] * vectors,
+                                 x / 2.0, p / 2.0,
+                                 _support_reach(weights, vectors))
+    return PhaseSpaceField("weyl", x, p, 0.5 * values)
 
 
 def _trapezoid_weights(n):
     w = np.ones(n)
     w[0] = w[-1] = 0.5
     return w
+
+
+def _x_marginal(field):
+    """Trapezoid p-integral of the field at each x."""
+    return (field.values * _trapezoid_weights(len(field.p))[None, :]).sum(
+        axis=1) * field.dp
 
 
 @dataclass
@@ -245,7 +273,7 @@ def phase_space_diagnostics(field: PhaseSpaceField):
     weighted = field.values * w_x[:, None] * w_p[None, :]
     area = field.dx * field.dp
     normalization = float(weighted.sum() * area)
-    x_marginal = (field.values * w_p[None, :]).sum(axis=1) * field.dp
+    x_marginal = _x_marginal(field)
     negativity = float(
         (np.maximum(-field.values, 0.0) * w_x[:, None] * w_p[None, :]).sum() * area)
     purity_estimate = float(

@@ -401,6 +401,43 @@ def test_cli_reports_library_warnings_as_one_line(tmp_path, capsys):
     assert ".py:" not in err
 
 
+BIAS_HALF_CFG = "squid.bias_flux_phi0 = 0.5\n"
+# the decohere-cat initial state's ring at dim 60 on a 33^2 grid over +-10:
+# steps of 0.625 alias the p-sum of its coherences, which reach |z| ~ 15
+COARSE_WIGNER_CFG = BIAS_HALF_CFG + (
+    "run.dim = 60\n"
+    "grid.x_min = -10\ngrid.x_max = 10\ngrid.x_points = 33\n"
+    "grid.p_min = -10\ngrid.p_max = 10\ngrid.p_points = 33\n")
+
+
+def _wigner_cli(tmp_path, text):
+    """(exit code, stderr, wigner.csv descriptor) of `squidsim wigner`."""
+    cfg = tmp_path / "wigner.cfg"
+    cfg.write_text(text)
+    code = cli_main(["wigner", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    return code, meta["fields"]["wigner.csv"]
+
+
+def test_cli_warns_of_a_wigner_grid_too_coarse_for_the_state(tmp_path, capsys):
+    code, desc = _wigner_cli(tmp_path, COARSE_WIGNER_CFG)
+    err = capsys.readouterr().err
+    assert code == 0
+    assert (tmp_path / "out" / "wigner.csv").stat().st_size > 0
+    assert err.count("squidsim: warning:") == 1
+    assert "squidsim: warning: Wigner x-marginal misses" in err
+    assert desc["marginal_error"] == pytest.approx(4.7e-2, rel=0.05)
+
+
+def test_cli_wigner_on_the_default_grid_is_silent(tmp_path, capsys):
+    code, desc = _wigner_cli(tmp_path, BIAS_HALF_CFG)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    # the kernel's z = 0 column is the exact density: only roundoff is left
+    assert desc["marginal_error"] < 1e-12
+
+
 def test_cli_reports_positivity_warning_once(tmp_path, capsys, monkeypatch):
     from squidsim import scenarios
     sweep = scenarios.spectrum_sweep
@@ -584,14 +621,16 @@ def test_run_dim_is_reported_before_the_ranges_relative_to_it():
 
 def test_cli_friedman_on_a_far_doublet_prints_no_warning(tmp_path, capsys):
     """The squeeze ring at bias 0.25 has its doublet far from the origin;
-    classifying it must not warn about a grid beyond the basis support."""
+    classifying it must not warn about a grid beyond the basis support.
+    The doublet reaches n ~ 200, so the grid's step of 0.2 is what keeps
+    the Wigner x-marginals exact."""
     cfg = tmp_path / "far.cfg"
     cfg.write_text(
         "squid.capacitance_f = 5e-15\nsquid.inductance_h = 3e-10\n"
         "squid.josephson_energy_j = 3.42074945834759e-21\n"
         "squid.bias_flux_phi0 = 0.25\n"
-        "grid.x_min = -26\ngrid.x_max = 26\ngrid.x_points = 129\n"
-        "grid.p_min = -26\ngrid.p_max = 26\ngrid.p_points = 129\n")
+        "grid.x_min = -26\ngrid.x_max = 26\ngrid.x_points = 257\n"
+        "grid.p_min = -26\ngrid.p_max = 26\ngrid.p_points = 257\n")
     code = cli_main(["scenario", "friedman", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
     assert code == 0

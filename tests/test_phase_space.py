@@ -53,6 +53,10 @@ def test_wigner_normalization_and_marginal(spectral_049):
     assert diag.normalization == pytest.approx(1.0, abs=1e-4)
     density = np.abs(sq.position_wavefunction(cat, x)) ** 2
     assert np.max(np.abs(diag.x_marginal - density)) < 1e-5
+    # marginal_error measures the same gap against the kernel's own exact
+    # density, the z = 0 column of the chord kernel
+    assert fld.marginal_error == pytest.approx(
+        np.max(np.abs(diag.x_marginal - density)), abs=1e-12)
 
 
 def test_wigner_grid_cover_check():
@@ -345,7 +349,8 @@ def test_random_mixed_state_field_properties(rank, seed):
 def full_range_chord_transform(weights, left, right, x, p, reach):
     """Reference for _chord_transform: the same z grid and lattice, with the
     kernel gathered over the whole range -c..c in complex arithmetic and
-    summed against the complex exp(-i z p) matrix."""
+    summed against the complex exp(-i z p) matrix; returns the values and
+    the kernel's z = 0 column."""
     dx = float(x[1] - x[0])
     target = np.pi / (4.0 * (np.max(np.abs(p)) + reach))
     m = 0
@@ -364,7 +369,8 @@ def full_range_chord_transform(weights, left, right, x, p, reach):
         u = sliding_window_view(psi_u[:, k], zeta.size)[::stride]
         v = sliding_window_view(psi_v[:, k], zeta.size)[::stride, ::-1]
         kernel += weights[k] * u * np.conj(v)
-    return kernel @ np.exp(-1j * np.outer(zeta, p)) * (dz / (2.0 * np.pi))
+    return (kernel @ np.exp(-1j * np.outer(zeta, p)) * (dz / (2.0 * np.pi)),
+            kernel[:, c])
 
 
 def assert_half_range_matches_full_range(state):
@@ -376,13 +382,16 @@ def assert_half_range_matches_full_range(state):
     p = np.linspace(-5.0, 2.0, 29)
     parity = (-1.0) ** np.arange(vectors.shape[0])
     for right in (vectors, parity[:, None] * vectors):   # Wigner, then Weyl
-        half = _chord_transform(weights, vectors, right, x, p, reach)
-        full = full_range_chord_transform(weights, vectors, right, x, p, reach)
+        half, diagonal = _chord_transform(weights, vectors, right, x, p, reach)
+        full, full_diagonal = full_range_chord_transform(weights, vectors,
+                                                         right, x, p, reach)
         assert np.isrealobj(half) == (right is vectors)
         assert np.max(np.abs(half - full)) <= 1e-14 * np.max(np.abs(full))
+        # the exact diagonal <x|A|x>, to the roundoff of the O(1) Hermite sums
+        assert np.max(np.abs(diagonal - full_diagonal)) <= 1e-14
     # the Hermitian path against the general path on a copy of the factors
-    wigner = _chord_transform(weights, vectors, vectors, x, p, reach)
-    general = _chord_transform(weights, vectors, vectors.copy(), x, p, reach)
+    wigner, _ = _chord_transform(weights, vectors, vectors, x, p, reach)
+    general, _ = _chord_transform(weights, vectors, vectors.copy(), x, p, reach)
     assert np.max(np.abs(wigner - general)) <= 1e-14 * np.max(np.abs(wigner))
 
 
