@@ -1,6 +1,8 @@
 """Command-line surface: every registered scenario, by name or subcommand.
 
-Each subcommand NAME is shorthand for `squidsim scenario NAME`.  Exit codes:
+Every name in scenarios.SCENARIOS is a subcommand, shorthand for
+`squidsim scenario NAME`, and every subcommand takes the same options;
+`squidsim NAME --help` shows the scenario runner's docstring.  Exit codes:
 0 success, 2 configuration error, 3 convergence failure, 4 I/O error.
 Library warnings are reported as one `squidsim: warning:` line each.
 """
@@ -11,35 +13,23 @@ import warnings
 
 
 def _build_parser():
+    from .scenarios import SCENARIOS
     parser = argparse.ArgumentParser(
         prog="squidsim",
         description="SQUID ring quantum dynamics: spectra, cat states, "
                     "phase-space fields, decoherence and squeezing.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    p_scen = sub.add_parser("scenario", help="run a named built-in scenario")
+    p_scen.add_argument("name", help="scenario name")
+    commands = [p_scen] + [sub.add_parser(name, description=runner.__doc__)
+                           for name, (_, runner) in SCENARIOS.items()]
+    for p in commands:
         p.add_argument("--config", help="flat key-value config file")
         p.add_argument("--dim", type=int, help="basis truncation override")
+        p.add_argument("--levels", type=int, help="sweep.levels override")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", choices=("csv", "json-bundle"),
                        default="csv", help="dataset emission format")
-
-    p_scen = sub.add_parser("scenario", help="run a named built-in scenario")
-    p_scen.add_argument("name", help="scenario name")
-    add_common(p_scen)
-
-    for cmd, desc in (
-        ("spectrum", "eigenvalue sweep over bias flux"),
-        ("eigenstates", "eigenstate wavefunctions at fixed bias"),
-        ("wigner", "Wigner function of the configured state"),
-        ("weyl", "Weyl function of the configured state"),
-        ("evolve", "thermal-bath evolution of the configured state"),
-        ("squeeze", "coherent-state squeezing runs (scenario alias)"),
-    ):
-        p = sub.add_parser(cmd, help=desc)
-        add_common(p)
-        if cmd in ("spectrum", "eigenstates"):
-            p.add_argument("--levels", type=int, help="number of levels")
     return parser
 
 
@@ -62,9 +52,8 @@ def _run(args):
         overrides = read_config(args.config) if args.config else {}
         if args.dim is not None:
             overrides["run.dim"] = str(args.dim)
-        levels = getattr(args, "levels", None)
-        if levels is not None:
-            overrides["sweep.levels"] = str(levels)
+        if args.levels is not None:
+            overrides["sweep.levels"] = str(args.levels)
         name = args.name if args.command == "scenario" else args.command
         dataset = scenarios.run_scenario(
             scenarios.builtin_scenario(name, overrides))

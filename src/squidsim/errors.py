@@ -34,5 +34,6 @@ class PositivityWarning(UserWarning):
 
 
 class GridResolutionWarning(UserWarning):
-    """A Wigner field's x-marginal misses the exact position density: its
-    grid is too coarse (or too narrow in p) for the state."""
+    """A Wigner table filed by run_scenario misses the exact position
+    density in its x-marginal, or its integral misses 1: its grid is too
+    coarse (or too narrow) for the state."""

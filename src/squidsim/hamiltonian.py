@@ -51,11 +51,6 @@ class SpectralResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def residual(self, hamiltonian):
-        """max |H v - E v| over the retained pairs."""
-        r = hamiltonian @ self.eigenvectors - self.eigenvectors * self.eigenvalues
-        return float(np.max(np.abs(r)))
-
 
 @dataclass
 class FluxSweep:
@@ -168,16 +163,6 @@ class FluxGridHamiltonian:
         )
 
 
-def default_flux_grid(params: SquidParams, scales: DerivedScales):
-    """Uniform dimensionless grid of FLUX_GRID_POINTS points with walls
-    FLUX_GRID_PADDING_QUANTA flux quanta beyond the outermost potential
-    wells, which `find_potential_wells` always finds (at least one)."""
-    wells = find_potential_wells(params, scales)
-    pad = FLUX_GRID_PADDING_QUANTA * scales.flux_quantum_in_x
-    return np.linspace(wells[0].position - pad, wells[-1].position + pad,
-                       FLUX_GRID_POINTS)
-
-
 def _uniform_grid(grid, name):
     """`grid` as a float array; ParameterError below 2 points and
     GridResolutionError unless its steps are equal and positive."""
@@ -199,7 +184,8 @@ def build_flux_grid_hamiltonian(params: SquidParams, grid=None,
     ----------
     grid : ndarray, optional
         Uniform increasing dimensionless positions, at least two;
-        defaults to :func:`default_flux_grid`.
+        defaults to FLUX_GRID_POINTS points with walls
+        FLUX_GRID_PADDING_QUANTA flux quanta beyond the outermost wells.
     frame : str
         "oscillator" (parabola at the origin, bias inside the cosine) or
         "flux" (physical flux coordinate); the two are related by a unitary
@@ -211,7 +197,10 @@ def build_flux_grid_hamiltonian(params: SquidParams, grid=None,
     if scales is None:
         scales = derive_scales(params)
     if grid is None:
-        grid = default_flux_grid(params, scales)
+        wells = find_potential_wells(params, scales)
+        pad = FLUX_GRID_PADDING_QUANTA * scales.flux_quantum_in_x
+        grid = np.linspace(wells[0].position - pad, wells[-1].position + pad,
+                           FLUX_GRID_POINTS)
     grid = _uniform_grid(grid, "flux")
     dx = grid[1] - grid[0]
 

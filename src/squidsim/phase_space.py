@@ -20,13 +20,12 @@ real by construction; for the non-Hermitian rho Pi the kernel at -z is
 gathered as a second half.
 """
 
-import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridResolutionError, GridResolutionWarning, ParameterError
+from .errors import GridResolutionError, ParameterError
 from .hamiltonian import _uniform_grid
 from .operators import hermiticity_defect
 from .states import MixedState, _as_state, _split_matmul, hermite_functions
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 POPULATION_FLOOR = 1e-12
-MARGINAL_TOLERANCE = 1e-4  # the acceptance tolerance of Wigner normalization
 TAIL_PAD = 4.0  # oscillator tails are dead this far past the turning point
 
 
@@ -194,8 +192,7 @@ def wigner_function(state, x, p):
     Returns a real-valued PhaseSpaceField: the half-range sum is real by
     construction, so its imag_residual is 0.0.  Its marginal_error compares
     the trapezoid p-marginal with the exact density <x_i|rho|x_i>, the
-    z = 0 column of the chord kernel; above MARGINAL_TOLERANCE a
-    GridResolutionWarning says the grid is too coarse for the state.
+    z = 0 column of the chord kernel.
     Raises GridResolutionError when the grid fails to cover the populated
     phase-space region.
     """
@@ -208,12 +205,6 @@ def wigner_function(state, x, p):
     values, density = _chord_transform(weights, vectors, vectors, x, p, reach)
     field = PhaseSpaceField("wigner", x, p, values)
     field.marginal_error = float(np.max(np.abs(_x_marginal(field) - density)))
-    if not field.marginal_error <= MARGINAL_TOLERANCE:
-        warnings.warn(
-            f"Wigner x-marginal misses the exact position density by "
-            f"{field.marginal_error:.3g} (> {MARGINAL_TOLERANCE:g}): the "
-            f"(x, p) grid is too coarse for the state", GridResolutionWarning,
-            stacklevel=2)
     return field
 
 

@@ -9,7 +9,7 @@ least 1, grids and the basis at least 2 points wide, steps positive and
 indices below the basis size; ScenarioSpec checks these ranges as one
 ordered list of rules, and the ConfigError names the first rule broken.
 
-SCENARIOS maps each scenario name, the CLI subcommands included, to its
+SCENARIOS maps each scenario name, each also a CLI subcommand, to its
 default spec and its runner.  A runner returns named tables, (columns,
 rows) or a PhaseSpaceField, and extra metadata; run_scenario wraps them in
 a Dataset whose metadata echoes the full configuration, the derived scales
@@ -23,13 +23,15 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .dynamics import BathParams, bath_occupation, propagate
-from .errors import ConfigError, DegeneracyError, ParameterError
+from .errors import (ConfigError, DegeneracyError, GridResolutionWarning,
+                     ParameterError)
 from .hamiltonian import (build_fock_hamiltonian, eigensolve,
                           potential_energy_scaled, spectrum_sweep)
 from .params import SquidParams, derive_scales
@@ -48,6 +50,7 @@ FLOAT_FMT = "%.12g"
 # rows formatted per write: the per-block overhead is negligible, and a
 # block's text stays well under a megabyte
 CSV_BLOCK_ROWS = 4096
+MARGINAL_TOLERANCE = 1e-4  # the acceptance tolerance of Wigner normalization
 STATE_KINDS = ("eigenstate", "coherent", "superposition")
 
 
@@ -400,13 +403,24 @@ def _resolve_state(spec):
 def run_scenario(spec: ScenarioSpec) -> Dataset:
     """Execute a registered scenario and return its Dataset; each
     PhaseSpaceField table is filed in long format, with its descriptor
-    under metadata["fields"]."""
+    under metadata["fields"].  A Wigner table whose marginal_error or
+    |normalization - 1| exceeds MARGINAL_TOLERANCE gets one
+    GridResolutionWarning that names it."""
     tables, extra = _registered(spec.name)[1](spec)
     fields = {}
     for name, table in tables.items():
         if isinstance(table, PhaseSpaceField):
-            fields[name] = _field_descriptor(table, spec)
+            desc = fields[name] = _field_descriptor(table, spec)
             tables[name] = _field_table(table)
+            if desc["kind"] == "wigner" and not (
+                    desc["marginal_error"] <= MARGINAL_TOLERANCE
+                    and abs(desc["normalization"] - 1.0) <= MARGINAL_TOLERANCE):
+                warnings.warn(
+                    f"Wigner table {name}: x-marginal error "
+                    f"{desc['marginal_error']:.3g}, normalization "
+                    f"{desc['normalization']:.6g} (tolerance "
+                    f"{MARGINAL_TOLERANCE:g}): the (x, p) grid is too coarse "
+                    f"for the state", GridResolutionWarning)
     if fields:
         extra["fields"] = fields
     return Dataset(spec.name, tables, _metadata(spec, extra))
@@ -584,7 +598,7 @@ def _builtin(name, runner, squid, **sections):
     return name, (ScenarioSpec(name, squid, **sections), runner)
 
 
-# name -> (default spec, runner); the CLI subcommands are entries too
+# name -> (default spec, runner); every name is also a CLI subcommand
 SCENARIOS = dict([
     _builtin("potential-wells", _run_potential_wells, standard_ring(),
              sweep=SweepSpec(levels=8)),

@@ -247,92 +247,71 @@ def classify_well_states(spectral: SpectralResult, params, scales):
     Two adjacent states form a tunnelling doublet when their gap is small
     against the bracketing level spacings (ratio PAIR_GAP_RATIO) and both
     carry probability mass on the two sides of an inter-well barrier (more
-    than MIXING_FLOOR on the minority side).  That detects s/a pairs at
-    exact resonance and partially mixed doublets between wells of unequal
-    depth alike.  Pair roles come from the reflection symmetry about the
-    midpoint of the two wells, falling back to energy order (the bonding,
-    symmetric member lies lower) when the well shapes differ.  States above
-    every barrier are labelled "delocalized".  Wells and barriers, one
-    between adjacent wells, are the roots of the potential's slope.
+    than MIXING_FLOOR on the minority side), read from one (level x
+    barrier) table of the mass fraction left of each barrier; the doublet
+    takes the barrier where the lesser of its two minority masses is
+    largest.  That detects s/a pairs at exact resonance and partially mixed
+    doublets between wells of unequal depth alike.  Pair roles come from
+    the reflection symmetry about the midpoint of the two wells, falling
+    back to energy order (the bonding, symmetric member lies lower) when the
+    well shapes differ.  Other states below the barrier top belong to the
+    well nearest their mean position; states above every barrier are
+    labelled "delocalized".  Wells and barriers, one between adjacent
+    wells, are the roots of the potential's slope.
     """
     minima, barriers = _critical_points(params, scales)
     wells = [Well(*m) for m in minima]
     top = max((b[1] for b in barriers), default=-np.inf)
 
-    vecs = spectral.eigenvectors
+    vecs, energies = spectral.eigenvectors, spectral.eigenvalues
     dim = vecs.shape[0]
     # <x> = sqrt(2) Re sum_n sqrt(n) c*_{n-1} c_n of every column at once
     means = (np.sqrt(2.0) * np.sum(np.sqrt(np.arange(1.0, dim))[:, None]
                                    * vecs[:-1].conj() * vecs[1:], axis=0).real).tolist()
 
-    def nearest_well(x):
-        return int(np.argmin([abs(x - w.position) for w in wells]))
-
-    energies = spectral.eigenvalues
+    # only levels below the barrier top, a prefix of the ascending
+    # spectrum, can form a doublet.  Each mass fraction comes from 1-D
+    # sums over one level's density: the roundoff of those sums decides
+    # which barrier a doublet whose minority masses tie is assigned to
+    count = int(np.count_nonzero(energies < top))
     reach = np.sqrt(2.0 * (dim - 1) + 1.0)
-    mass_grid = np.linspace(-reach, reach, 3001)
-    mass_dx = mass_grid[1] - mass_grid[0]
-    # only levels below the barrier top can form a doublet
-    below = np.flatnonzero(energies < top)
-    psi = position_wavefunction(spectral.eigenvectors[:, below], mass_grid)
-    densities = dict(zip(below, (np.abs(psi) ** 2).T))
-
-    def left_mass(idx, x_barrier):
-        dens = densities[idx]
-        total = float(np.sum(dens) * mass_dx)
-        left = float(np.sum(dens[mass_grid < x_barrier]) * mass_dx)
-        return left / total
-
-    def doublet_wells(j):
-        """(well_lo, well_hi) when (j, j+1) behaves as an s/a pair, else None."""
-        gap = energies[j + 1] - energies[j]
-        brackets = []
-        if j > 0:
-            brackets.append(energies[j] - energies[j - 1])
-        if j + 2 < len(energies):
-            brackets.append(energies[j + 2] - energies[j + 1])
-        if not brackets or gap >= PAIR_GAP_RATIO * max(brackets):
-            return None
-        best = None
-        for b_idx, (x_barrier, _) in enumerate(barriers):
-            mixing = min(
-                min(m, 1.0 - m)
-                for m in (left_mass(j, x_barrier), left_mass(j + 1, x_barrier)))
-            if mixing > MIXING_FLOOR and (best is None or mixing > best[0]):
-                best = (mixing, b_idx)
-        if best is None:
-            return None
-        return best[1], best[1] + 1
+    grid = np.linspace(-reach, reach, 3001)
+    dx = grid[1] - grid[0]
+    density = np.abs(position_wavefunction(vecs[:, :count], grid)) ** 2
+    left = np.array([[np.sum(d[grid < x_b]) * dx / (np.sum(d) * dx)
+                      for x_b, _ in barriers] for d in density.T])
+    minority = np.minimum(left, 1.0 - left)
+    # row j: the lesser of the minority masses of levels j and j + 1
+    mixing = np.minimum(minority[:-1], minority[1:])
+    gaps = np.diff(energies)
 
     counters = [0] * len(wells)
-    labels: list = [None] * len(energies)
+    labels = []
     j = 0
-    while j < len(energies):
-        if energies[j] >= top:
-            labels[j] = WellLabel(j, "delocalized", means[j], float(energies[j]))
-            j += 1
-            continue
-        pair_wells = None
-        if j + 1 < len(energies) and energies[j + 1] < top:
-            pair_wells = doublet_wells(j)
-        if pair_wells is not None:
-            w_lo, w_hi = pair_wells
-            midpoint = 0.5 * (wells[w_lo].position + wells[w_hi].position)
+    while j < count:
+        spacing = max([*gaps[j - 1:j], *gaps[j + 1:j + 2]], default=-np.inf)
+        if (j + 1 < count and gaps[j] < PAIR_GAP_RATIO * spacing
+                and mixing[j].max() > MIXING_FLOOR):
+            b = int(np.argmax(mixing[j]))
+            midpoint = 0.5 * (wells[b].position + wells[b + 1].position)
             roles = _pair_roles(spectral, (j, j + 1), midpoint)
-            ordinals = ((w_lo, counters[w_lo]), (w_hi, counters[w_hi]))
-            for idx, role in zip((j, j + 1), roles):
-                labels[idx] = WellLabel(
-                    idx, "pair", means[idx], float(energies[idx]),
-                    role=role, partner=(2 * j + 1 - idx), ordinals=ordinals)
-            counters[w_lo] += 1
-            counters[w_hi] += 1
+            ordinals = ((b, counters[b]), (b + 1, counters[b + 1]))
+            labels += [WellLabel(idx, "pair", means[idx], float(energies[idx]),
+                                 role=role, partner=2 * j + 1 - idx,
+                                 ordinals=ordinals)
+                       for idx, role in zip((j, j + 1), roles)]
+            counters[b] += 1
+            counters[b + 1] += 1
             j += 2
         else:
-            w = nearest_well(means[j])
-            labels[j] = WellLabel(j, "localized", means[j], float(energies[j]),
-                                  well_index=w, level_ordinal=counters[w])
+            w = int(np.argmin([abs(means[j] - well.position)
+                               for well in wells]))
+            labels.append(WellLabel(j, "localized", means[j], float(energies[j]),
+                                    well_index=w, level_ordinal=counters[w]))
             counters[w] += 1
             j += 1
+    labels += [WellLabel(k, "delocalized", means[k], float(energies[k]))
+               for k in range(count, len(energies))]
     return WellClassification(wells, barriers, labels)
 
 

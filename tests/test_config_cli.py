@@ -10,7 +10,7 @@ import pytest
 
 import squidsim as sq
 from squidsim import ConfigError
-from squidsim.cli import main as cli_main
+from squidsim.cli import _build_parser, main as cli_main
 from squidsim.config import format_config, parse_config
 from conftest import critical_current
 
@@ -426,7 +426,7 @@ def test_cli_warns_of_a_wigner_grid_too_coarse_for_the_state(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "out" / "wigner.csv").stat().st_size > 0
     assert err.count("squidsim: warning:") == 1
-    assert "squidsim: warning: Wigner x-marginal misses" in err
+    assert "squidsim: warning: Wigner table wigner.csv: x-marginal error" in err
     assert desc["marginal_error"] == pytest.approx(4.7e-2, rel=0.05)
 
 
@@ -488,6 +488,16 @@ def test_every_registered_scenario_runs_from_the_cli(tmp_path, name):
     for filename in os.listdir(out):
         assert ((again / filename).read_bytes()
                 == (out / filename).read_bytes()), filename
+
+
+def test_every_registered_scenario_is_a_subcommand_with_the_same_options():
+    parser = _build_parser()
+    for name in sq.SCENARIOS:
+        args = parser.parse_args([name, "--config", "c.cfg", "--dim", "40",
+                                  "--levels", "3", "--out", "o",
+                                  "--format", "json-bundle"])
+        assert (args.command, args.config, args.dim, args.levels, args.out,
+                args.format) == (name, "c.cfg", 40, 3, "o", "json-bundle")
 
 
 def test_spectrum_json_bundle_is_named_after_the_command(tmp_path):
@@ -619,22 +629,42 @@ def test_run_dim_is_reported_before_the_ranges_relative_to_it():
         sq.ScenarioSpec.from_flat({"run.dim": "1", "state.index": "5"})
 
 
-def test_cli_friedman_on_a_far_doublet_prints_no_warning(tmp_path, capsys):
-    """The squeeze ring at bias 0.25 has its doublet far from the origin;
-    classifying it must not warn about a grid beyond the basis support.
-    The doublet reaches n ~ 200, so the grid's step of 0.2 is what keeps
-    the Wigner x-marginals exact."""
+def _far_doublet_friedman(tmp_path, points):
+    """Run `squidsim scenario friedman`, which must exit 0, on the
+    squeeze ring at bias 0.25, whose doublet lies far from the origin and
+    reaches n ~ 200, with a points x points grid over +-26."""
     cfg = tmp_path / "far.cfg"
     cfg.write_text(
         "squid.capacitance_f = 5e-15\nsquid.inductance_h = 3e-10\n"
         "squid.josephson_energy_j = 3.42074945834759e-21\n"
         "squid.bias_flux_phi0 = 0.25\n"
-        "grid.x_min = -26\ngrid.x_max = 26\ngrid.x_points = 257\n"
-        "grid.p_min = -26\ngrid.p_max = 26\ngrid.p_points = 257\n")
+        f"grid.x_min = -26\ngrid.x_max = 26\ngrid.x_points = {points}\n"
+        f"grid.p_min = -26\ngrid.p_max = 26\ngrid.p_points = {points}\n")
     code = cli_main(["scenario", "friedman", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+def test_cli_friedman_on_a_far_doublet_prints_no_warning(tmp_path, capsys):
+    """Classifying the far doublet must not warn about a grid beyond the
+    basis support, and a step of 0.12 keeps every Wigner table's
+    x-marginal exact and its integral at 1."""
+    _far_doublet_friedman(tmp_path, 433)
     assert "squidsim: warning" not in capsys.readouterr().err
+
+
+def test_cli_friedman_on_a_far_doublet_names_each_coarse_table(tmp_path,
+                                                               capsys):
+    """A step of 0.2 keeps the x-marginals within 1.6e-5, but the
+    x-quadrature of the three tables reads 0.994, 0.976 and 0.957: one
+    warning line names each of them."""
+    _far_doublet_friedman(tmp_path, 257)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3
+    for line, theta in zip(lines, ("0.00", "1.57", "3.14")):
+        assert line.startswith(
+            f"squidsim: warning: Wigner table wigner_theta{theta}.csv: ")
+        assert "normalization 0.9" in line
 
 
 def test_cli_levels_option_sets_sweep_levels(tmp_path):

@@ -114,19 +114,22 @@ def test_occupation_relaxation_identity():
     assert dn == pytest.approx(-g * (n_mean - m_occ), rel=1e-10, abs=1e-12)
 
 
-def rk4_reference(rho, h, bath, dtau, steps):
-    """`steps` classical RK4 steps of the plain matrix-product generator,
-    each Hermitised and renormalised like the propagator's."""
-    a = sq.annihilation(len(rho))
-    for _ in range(steps):
-        k1 = sq.lindblad_generator(rho, h, a, bath)
-        k2 = sq.lindblad_generator(rho + 0.5 * dtau * k1, h, a, bath)
-        k3 = sq.lindblad_generator(rho + 0.5 * dtau * k2, h, a, bath)
-        k4 = sq.lindblad_generator(rho + dtau * k3, h, a, bath)
-        rho = rho + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real
-    return rho
+def rk4_oracle(rho, h, bath, dtau, n_steps):
+    """Classical RK4 steps of the plain matrix-product generator, each
+    Hermitised and renormalised like the propagator's; every step's rho,
+    the initial one first."""
+    a = sq.annihilation(len(h))
+    states = [np.asarray(rho, dtype=complex)]
+    for _ in range(n_steps):
+        r = states[-1]
+        k1 = sq.lindblad_generator(r, h, a, bath)
+        k2 = sq.lindblad_generator(r + 0.5 * dtau * k1, h, a, bath)
+        k3 = sq.lindblad_generator(r + 0.5 * dtau * k2, h, a, bath)
+        k4 = sq.lindblad_generator(r + dtau * k3, h, a, bath)
+        out = r + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out = 0.5 * (out + out.conj().T)
+        states.append(out / np.trace(out).real)
+    return states
 
 
 def test_propagator_matches_reference_generator():
@@ -140,7 +143,7 @@ def test_propagator_matches_reference_generator():
     bath = BathParams(temperature=1.0, damping=0.05).resolved(scales)
     dtau = 1e-3
 
-    expected = rk4_reference(rho.astype(complex), h, bath, dtau, 1)
+    expected = rk4_oracle(rho, h, bath, dtau, 1)[-1]
     traj = sq.propagate(rho, h, bath, dtau=dtau, tau_max=dtau,
                         snapshot_stride=1)
     assert np.max(np.abs(traj.snapshots[-1].dense() - expected)) < 1e-13
@@ -166,7 +169,7 @@ def test_propagator_matches_reference_generator_on_random_systems(
     bath = BathParams(temperature=temperature, damping=damping,
                       frequency=frequency)
 
-    expected = rk4_reference(rho.astype(complex), h, bath, dtau, steps)
+    expected = rk4_oracle(rho, h, bath, dtau, steps)[-1]
     traj = sq.propagate(rho, h, bath, dtau=dtau, tau_max=steps * dtau,
                         snapshot_stride=steps)
     assert traj.energy_levels_kept == dim
@@ -306,22 +309,6 @@ def test_trajectory_csv_columns(tmp_path):
     sq.emit_dataset(sq.run_scenario(spec), tmp_path)
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
     assert header == "tau,mean_x,mean_p,var_x,var_p,occupation,trace,purity"
-
-
-def rk4_oracle(rho, h, bath, dtau, n_steps):
-    """Number-basis RK4 on the dense reference generator; every step's rho."""
-    a = sq.annihilation(len(h))
-    states = [np.asarray(rho, dtype=complex)]
-    for _ in range(n_steps):
-        r = states[-1]
-        k1 = sq.lindblad_generator(r, h, a, bath)
-        k2 = sq.lindblad_generator(r + 0.5 * dtau * k1, h, a, bath)
-        k3 = sq.lindblad_generator(r + 0.5 * dtau * k2, h, a, bath)
-        k4 = sq.lindblad_generator(r + dtau * k3, h, a, bath)
-        out = r + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out = 0.5 * (out + out.conj().T)
-        states.append(out / np.trace(out).real)
-    return states
 
 
 def test_full_rank_state_keeps_every_level_and_matches_oracle():

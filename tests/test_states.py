@@ -294,21 +294,62 @@ STANDARD_05_LABELS = [
 ]
 
 
-@pytest.mark.parametrize("ring, expected", [
-    (sq.friedman_ring(), FRIEDMAN_LABELS),
-    (sq.standard_ring(), []),
-    (sq.standard_ring(0.49), STANDARD_049_LABELS),
-    (sq.standard_ring(0.5), STANDARD_05_LABELS),
-], ids=["friedman", "standard", "standard-0.49", "standard-0.5"])
-def test_classification_labels_are_unchanged(ring, expected):
+# (lower member, its role, partner, ordinals) of every doublet at dim 400,
+# recorded before classify_well_states read its doublets from one mass
+# table.  On the squeeze ring at bias 0.5 reflection symmetry overrules
+# energy order for the seven doublets whose lower member is "a"
+STANDARD_05_DOUBLETS = [
+    (0, "s", 1, ((0, 0), (1, 0))), (2, "s", 3, ((0, 1), (1, 1))),
+    (4, "s", 5, ((0, 2), (1, 2))),
+]
+SQUEEZE_025_DOUBLETS = [
+    (46, "s", 47, ((1, 30), (2, 16))), (88, "s", 89, ((0, 5), (1, 65))),
+]
+SQUEEZE_05_DOUBLETS = [
+    (0, "s", 1, ((1, 0), (2, 0))), (2, "s", 3, ((1, 1), (2, 1))),
+    (4, "s", 5, ((1, 2), (2, 2))), (6, "a", 7, ((1, 3), (2, 3))),
+    (8, "a", 9, ((1, 4), (2, 4))), (10, "s", 11, ((1, 5), (2, 5))),
+    (12, "a", 13, ((1, 6), (2, 6))), (14, "s", 15, ((1, 7), (2, 7))),
+    (16, "s", 17, ((1, 8), (2, 8))), (18, "s", 19, ((1, 9), (2, 9))),
+    (20, "a", 21, ((1, 10), (2, 10))), (22, "s", 23, ((1, 11), (2, 11))),
+    (24, "s", 25, ((1, 12), (2, 12))), (26, "s", 27, ((1, 13), (2, 13))),
+    (28, "s", 29, ((1, 14), (2, 14))), (30, "s", 31, ((1, 15), (2, 15))),
+    (32, "s", 33, ((1, 16), (2, 16))), (34, "s", 35, ((1, 17), (2, 17))),
+    (36, "s", 37, ((1, 18), (2, 18))), (38, "s", 39, ((1, 19), (2, 19))),
+    (40, "s", 41, ((1, 20), (2, 20))), (42, "s", 43, ((1, 21), (2, 21))),
+    (44, "s", 45, ((1, 22), (2, 22))), (113, "a", 114, ((1, 58), (2, 55))),
+    (117, "a", 118, ((1, 61), (2, 56))), (121, "a", 122, ((1, 63), (2, 58))),
+]
+
+
+@pytest.mark.parametrize("ring, expected, doublets", [
+    (sq.friedman_ring(), FRIEDMAN_LABELS, [(12, "s", 13, ((0, 3), (1, 9)))]),
+    (sq.standard_ring(), [], []),
+    (sq.standard_ring(0.49), STANDARD_049_LABELS, []),
+    (sq.standard_ring(0.5), STANDARD_05_LABELS, STANDARD_05_DOUBLETS),
+    (sq.squeeze_ring(0.25), None, SQUEEZE_025_DOUBLETS),
+    (sq.squeeze_ring(0.5), None, SQUEEZE_05_DOUBLETS),
+], ids=["friedman", "standard", "standard-0.49", "standard-0.5",
+        "squeeze-0.25", "squeeze-0.5"])
+def test_classification_labels_are_unchanged(ring, expected, doublets):
     scales = sq.derive_scales(ring)
     res = sq.eigensolve(sq.build_fock_hamiltonian(ring, scales, 400))
-    labels = [(l.kind, l.role, l.partner, l.well_index, l.level_ordinal)
-              for l in sq.classify_well_states(res, ring, scales).labels]
-    n = len(expected)
-    assert labels[:n] == expected
-    assert all(label[0] == "delocalized" for label in labels[n:])
-    assert len(labels) == 400
+    classification = sq.classify_well_states(res, ring, scales)
+    assert len(classification.labels) == 400
+    if expected is not None:
+        labels = [(l.kind, l.role, l.partner, l.well_index, l.level_ordinal)
+                  for l in classification.labels]
+        n = len(expected)
+        assert labels[:n] == expected
+        assert all(label[0] == "delocalized" for label in labels[n:])
+    pairs = {l.state_index: l for l in classification.pairs()}
+    assert [(l.state_index, l.role, l.partner, l.ordinals)
+            for l in pairs.values() if l.state_index < l.partner] == doublets
+    assert len(pairs) == 2 * len(doublets)
+    for lower, role, upper, ordinals in doublets:
+        other = {"s": "a", "a": "s"}[role]
+        assert (pairs[upper].role, pairs[upper].partner,
+                pairs[upper].ordinals) == (other, lower, ordinals)
 
 
 def test_classification_of_a_far_doublet_does_not_warn():
