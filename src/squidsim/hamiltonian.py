@@ -232,12 +232,8 @@ def eigensolve(hamiltonian, count=None):
     if count is not None:
         vals = vals[:count]
         vecs = vecs[:, :count]
-    for j in range(vecs.shape[1]):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        piv = vecs[i, j]
-        vecs[:, j] *= np.conj(piv) / abs(piv)
-    if np.isrealobj(h):
-        vecs = vecs.real
+    piv = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs *= np.conj(piv) / np.abs(piv)
     return SpectralResult(vals, vecs)
 
 

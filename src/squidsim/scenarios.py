@@ -334,12 +334,11 @@ def _field_table(field_obj: PhaseSpaceField):
     return cols, data
 
 
-def _field_descriptor(field_obj, spec):
-    """Grid, state recipe and health of a field; a Wigner field's
-    normalization is its trapezoid integral, which should read 1, and its
-    marginal_error the largest deviation of its p-marginal from the exact
-    position density, which should read below 1e-4."""
-    state = spec.state
+def _field_descriptor(field_obj):
+    """Grid and health of a field; a Wigner field's normalization is its
+    trapezoid integral, which should read 1, and its marginal_error the
+    largest deviation of its p-marginal from the exact position density,
+    which should read below 1e-4."""
     descriptor = {
         "kind": field_obj.kind,
         "x_min": float(field_obj.x[0]), "x_max": float(field_obj.x[-1]),
@@ -347,9 +346,6 @@ def _field_descriptor(field_obj, spec):
         "p_min": float(field_obj.p[0]), "p_max": float(field_obj.p[-1]),
         "p_points": len(field_obj.p),
         "imag_residual": field_obj.imag_residual,
-        "state": {"kind": state.kind, "index": state.index,
-                  "alpha": repr(complex(state.alpha_re, state.alpha_im)),
-                  "theta": state.theta, "pair": [state.pair_a, state.pair_b]},
     }
     if field_obj.kind == "wigner":
         descriptor["normalization"] = phase_space_diagnostics(
@@ -410,7 +406,7 @@ def run_scenario(spec: ScenarioSpec) -> Dataset:
     fields = {}
     for name, table in tables.items():
         if isinstance(table, PhaseSpaceField):
-            desc = fields[name] = _field_descriptor(table, spec)
+            desc = fields[name] = _field_descriptor(table)
             tables[name] = _field_table(table)
             if desc["kind"] == "wigner" and not (
                     desc["marginal_error"] <= MARGINAL_TOLERANCE

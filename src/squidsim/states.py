@@ -246,18 +246,18 @@ def classify_well_states(spectral: SpectralResult, params, scales):
 
     Two adjacent states form a tunnelling doublet when their gap is small
     against the bracketing level spacings (ratio PAIR_GAP_RATIO) and both
-    carry probability mass on the two sides of an inter-well barrier (more
-    than MIXING_FLOOR on the minority side), read from one (level x
-    barrier) table of the mass fraction left of each barrier; the doublet
-    takes the barrier where the lesser of its two minority masses is
-    largest.  That detects s/a pairs at exact resonance and partially mixed
-    doublets between wells of unequal depth alike.  Pair roles come from
-    the reflection symmetry about the midpoint of the two wells, falling
-    back to energy order (the bonding, symmetric member lies lower) when the
-    well shapes differ.  Other states below the barrier top belong to the
-    well nearest their mean position; states above every barrier are
-    labelled "delocalized".  Wells and barriers, one between adjacent
-    wells, are the roots of the potential's slope.
+    carry more than MIXING_FLOOR of their probability mass in each of two
+    wells, read from one (level x well) table of the mass fraction between
+    the barriers on either side of each well; the doublet joins the two
+    wells where the lesser of its members' masses is largest, which need
+    not share a barrier.  That detects s/a pairs at exact resonance and
+    partially mixed doublets between wells of unequal depth alike.  Pair
+    roles come from the reflection symmetry about the midpoint of the two
+    wells, falling back to energy order (the bonding, symmetric member lies
+    lower) when the well shapes differ.  Other states below the barrier top
+    belong to the well nearest their mean position; states above every
+    barrier are labelled "delocalized".  Wells and barriers, one between
+    adjacent wells, are the roots of the potential's slope.
     """
     minima, barriers = _critical_points(params, scales)
     wells = [Well(*m) for m in minima]
@@ -270,19 +270,20 @@ def classify_well_states(spectral: SpectralResult, params, scales):
                                    * vecs[:-1].conj() * vecs[1:], axis=0).real).tolist()
 
     # only levels below the barrier top, a prefix of the ascending
-    # spectrum, can form a doublet.  Each mass fraction comes from 1-D
-    # sums over one level's density: the roundoff of those sums decides
-    # which barrier a doublet whose minority masses tie is assigned to
+    # spectrum, can form a doublet
     count = int(np.count_nonzero(energies < top))
     reach = np.sqrt(2.0 * (dim - 1) + 1.0)
     grid = np.linspace(-reach, reach, 3001)
-    dx = grid[1] - grid[0]
     density = np.abs(position_wavefunction(vecs[:, :count], grid)) ** 2
-    left = np.array([[np.sum(d[grid < x_b]) * dx / (np.sum(d) * dx)
-                      for x_b, _ in barriers] for d in density.T])
-    minority = np.minimum(left, 1.0 - left)
-    # row j: the lesser of the minority masses of levels j and j + 1
-    mixing = np.minimum(minority[:-1], minority[1:])
+    # a well's mass is the running sum's rise between its two barriers
+    run = np.vstack([np.zeros(count), np.cumsum(density, axis=0)])
+    edges = [0, *np.searchsorted(grid, [x_b for x_b, _ in barriers]), -1]
+    mass = (np.diff(run[edges], axis=0) / run[-1]).T
+    # row j: the lesser mass of levels j and j + 1 in each well, the two
+    # wells where it is largest, and the lesser of those two
+    shared = np.minimum(mass[:-1], mass[1:])
+    joined = np.sort(np.argsort(shared, axis=1)[:, -2:], axis=1)
+    mixing = np.take_along_axis(shared, joined, axis=1).min(axis=1)
     gaps = np.diff(energies)
 
     counters = [0] * len(wells)
@@ -291,17 +292,17 @@ def classify_well_states(spectral: SpectralResult, params, scales):
     while j < count:
         spacing = max([*gaps[j - 1:j], *gaps[j + 1:j + 2]], default=-np.inf)
         if (j + 1 < count and gaps[j] < PAIR_GAP_RATIO * spacing
-                and mixing[j].max() > MIXING_FLOOR):
-            b = int(np.argmax(mixing[j]))
-            midpoint = 0.5 * (wells[b].position + wells[b + 1].position)
+                and mixing[j] > MIXING_FLOOR):
+            a, b = joined[j].tolist()
+            midpoint = 0.5 * (wells[a].position + wells[b].position)
             roles = _pair_roles(spectral, (j, j + 1), midpoint)
-            ordinals = ((b, counters[b]), (b + 1, counters[b + 1]))
+            ordinals = ((a, counters[a]), (b, counters[b]))
             labels += [WellLabel(idx, "pair", means[idx], float(energies[idx]),
                                  role=role, partner=2 * j + 1 - idx,
                                  ordinals=ordinals)
                        for idx, role in zip((j, j + 1), roles)]
+            counters[a] += 1
             counters[b] += 1
-            counters[b + 1] += 1
             j += 2
         else:
             w = int(np.argmin([abs(means[j] - well.position)

@@ -258,6 +258,34 @@ def test_decoherence_rate_ordering():
         assert strong < weak
 
 
+@pytest.mark.parametrize("temperature", [1.0, 5.0])
+@pytest.mark.parametrize("damping", [0.01, 0.003])
+def test_cat_coherence_decays_at_the_closed_form_rate(quadratures_400,
+                                                      damping, temperature):
+    """The Weyl side peak of the bias-0.5 ground state, a cat of the two
+    well lobes, falls at Gamma = g(2M + 1) D^2/4 (Walls and Milburn;
+    Zurek 2003, RMP 75:715), D = 2|<s|x|a>| the separation of the lobe
+    centroids, not of the well minima."""
+    ring = sq.standard_ring(0.5)
+    scales = sq.derive_scales(ring)
+    h = sq.build_fock_hamiltonian(ring, scales, 400)
+    s, a = sq.eigensolve(h, 2).eigenvectors.T
+    sep = 2.0 * abs(s @ quadratures_400[0] @ a)
+    assert sep == pytest.approx(7.1031, abs=1e-4)
+    bath = BathParams(temperature=temperature, damping=damping).resolved(scales)
+    rate = damping * (2.0 * sq.bath_occupation(bath) + 1.0) * sep ** 2 / 4.0
+    traj = sq.propagate(np.outer(s, s), h, bath, dtau=0.005, tau_max=5.0,
+                        record_stride=200, snapshot_stride=200)
+    x = np.linspace(-16.0, 16.0, 257)
+    # the largest |Wt| at P = x[128] = 0 with X > D/2, clear of the trace
+    # peak at the origin
+    side = x > sep / 2
+    peaks = [np.max(np.abs(sq.weyl_function(rho, x, x).values[side, 128]))
+             for rho in traj.snapshots]
+    fitted = -np.polyfit(traj.snapshot_times, np.log(peaks), 1)[0]
+    assert fitted == pytest.approx(rate, rel=1e-2)
+
+
 def test_step_size_guard():
     dim = 60
     ring = sq.standard_ring(0.5)

@@ -7,6 +7,7 @@ import pytest
 import squidsim as sq
 from squidsim import DegeneracyError, ParameterError, TruncationError
 from squidsim.operators import parity_operator
+from squidsim.states import MIXING_FLOOR
 from conftest import expectation, moments
 
 
@@ -294,10 +295,10 @@ STANDARD_05_LABELS = [
 ]
 
 
-# (lower member, its role, partner, ordinals) of every doublet at dim 400,
-# recorded before classify_well_states read its doublets from one mass
-# table.  On the squeeze ring at bias 0.5 reflection symmetry overrules
-# energy order for the seven doublets whose lower member is "a"
+# (lower member, its role, partner, ordinals) of every doublet at dim 400.
+# On the squeeze ring at bias 0.5 reflection symmetry overrules energy
+# order for the seven doublets whose lower member is "a"; its last three
+# doublets live in the outer wells 0 and 3
 STANDARD_05_DOUBLETS = [
     (0, "s", 1, ((0, 0), (1, 0))), (2, "s", 3, ((0, 1), (1, 1))),
     (4, "s", 5, ((0, 2), (1, 2))),
@@ -317,8 +318,17 @@ SQUEEZE_05_DOUBLETS = [
     (32, "s", 33, ((1, 16), (2, 16))), (34, "s", 35, ((1, 17), (2, 17))),
     (36, "s", 37, ((1, 18), (2, 18))), (38, "s", 39, ((1, 19), (2, 19))),
     (40, "s", 41, ((1, 20), (2, 20))), (42, "s", 43, ((1, 21), (2, 21))),
-    (44, "s", 45, ((1, 22), (2, 22))), (113, "a", 114, ((1, 58), (2, 55))),
-    (117, "a", 118, ((1, 61), (2, 56))), (121, "a", 122, ((1, 63), (2, 58))),
+    (44, "s", 45, ((1, 22), (2, 22))), (113, "a", 114, ((0, 0), (3, 0))),
+    (117, "a", 118, ((0, 1), (3, 1))), (121, "a", 122, ((0, 2), (3, 2))),
+]
+# the three wells lie at -11.559, 0 and 11.559; every doublet joins the
+# outer two, across the middle well that holds at most 3 % of its mass
+SQUEEZE_0_DOUBLETS = [
+    (27, "s", 28, ((0, 0), (2, 0))), (33, "a", 34, ((0, 2), (2, 2))),
+    (37, "a", 38, ((0, 3), (2, 3))), (40, "s", 41, ((0, 4), (2, 4))),
+    (43, "a", 44, ((0, 5), (2, 5))), (47, "a", 48, ((0, 6), (2, 6))),
+    (50, "s", 51, ((0, 7), (2, 7))), (53, "a", 54, ((0, 8), (2, 8))),
+    (57, "a", 58, ((0, 9), (2, 9))), (60, "s", 61, ((0, 10), (2, 10))),
 ]
 
 
@@ -329,8 +339,9 @@ SQUEEZE_05_DOUBLETS = [
     (sq.standard_ring(0.5), STANDARD_05_LABELS, STANDARD_05_DOUBLETS),
     (sq.squeeze_ring(0.25), None, SQUEEZE_025_DOUBLETS),
     (sq.squeeze_ring(0.5), None, SQUEEZE_05_DOUBLETS),
+    (sq.squeeze_ring(0.0), None, SQUEEZE_0_DOUBLETS),
 ], ids=["friedman", "standard", "standard-0.49", "standard-0.5",
-        "squeeze-0.25", "squeeze-0.5"])
+        "squeeze-0.25", "squeeze-0.5", "squeeze-0"])
 def test_classification_labels_are_unchanged(ring, expected, doublets):
     scales = sq.derive_scales(ring)
     res = sq.eigensolve(sq.build_fock_hamiltonian(ring, scales, 400))
@@ -350,6 +361,32 @@ def test_classification_labels_are_unchanged(ring, expected, doublets):
         other = {"s": "a", "a": "s"}[role]
         assert (pairs[upper].role, pairs[upper].partner,
                 pairs[upper].ordinals) == (other, lower, ordinals)
+
+
+@pytest.mark.parametrize("ring", [
+    sq.squeeze_ring(0.0), sq.squeeze_ring(0.25), sq.squeeze_ring(0.5),
+    sq.friedman_ring(),
+], ids=["squeeze-0", "squeeze-0.25", "squeeze-0.5", "friedman"])
+def test_doublets_join_wells_that_hold_both_members(ring):
+    """Each well a pair label names holds more than MIXING_FLOOR of both
+    members' mass, summed over the basin between the potential maxima on
+    either side of the well on a grid of this test's own."""
+    scales = sq.derive_scales(ring)
+    res = sq.eigensolve(sq.build_fock_hamiltonian(ring, scales, 400))
+    classification = sq.classify_well_states(res, ring, scales)
+    x = np.linspace(-28.0, 28.0, 8001)
+    u = sq.potential_energy_scaled(x, ring, scales)
+    maxima = x[1:-1][(u[1:-1] > u[:-2]) & (u[1:-1] > u[2:])]
+    assert len(maxima) + 1 == len(classification.wells)
+    basin = np.searchsorted(maxima, x)
+    pairs = classification.pairs()
+    assert pairs
+    for label in pairs:
+        density = np.abs(sq.position_wavefunction(
+            res.eigenvectors[:, [label.state_index, label.partner]], x)) ** 2
+        for well, _ in label.ordinals:
+            masses = density[basin == well].sum(axis=0) / density.sum(axis=0)
+            assert masses.min() > MIXING_FLOOR, (label.state_index, well)
 
 
 def test_classification_of_a_far_doublet_does_not_warn():
